@@ -27,7 +27,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD_DIR="${BUILD_DIR:-build}"
-SNAPSHOT="BENCH_10.json"
+SNAPSHOT="BENCH_12.json"
 SMOKE=0
 CHECK=0
 OUT=""
@@ -159,7 +159,7 @@ an_q6 = analytics_query("q6-filter-mul-sum")
 an_q1 = analytics_query("q1-group-aggregate")
 an_q3 = analytics_query("q3-join-group-sort")
 doc = {
-    "bench_id": "BENCH_10",
+    "bench_id": "BENCH_12",
     "schema_version": 2,
     "smoke": smoke,
     "backend": {

@@ -89,10 +89,4 @@ void bitsliced_compare_slice(
     std::uint64_t x, unsigned n, const device::EnergyModel& em,
     magic::Tracer* tracer = nullptr);
 
-[[nodiscard]] inline double total_energy_pj(const CompareOutcome& r,
-                                            const device::EnergyModel& em) {
-  return r.energy_ops_pj +
-         static_cast<double>(r.cycles) * em.e_cycle_overhead_pj;
-}
-
 }  // namespace apim::arith

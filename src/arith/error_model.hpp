@@ -21,12 +21,6 @@ namespace apim::arith {
   return 0.25;
 }
 
-/// Expected value of the signed error of an m-bit relaxed region: 0 by
-/// symmetry (000 errors are +2^i, 111 errors are -2^i, equally likely).
-[[nodiscard]] constexpr double relaxed_add_error_mean() noexcept {
-  return 0.0;
-}
-
 /// RMS of the signed error over an m-bit relaxed region.
 ///
 /// Independent bits would give sqrt(sum_i 1/4 * 4^i) = sqrt((4^m-1)/12),

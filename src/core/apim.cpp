@@ -4,13 +4,10 @@
 #include <array>
 #include <cassert>
 #include <cstdlib>
-
+#include <stdexcept>
 #include <vector>
 
 #include "arith/bitsliced.hpp"
-#include "arith/compare_units.hpp"
-#include "arith/inmemory_units.hpp"
-#include "arith/latency_model.hpp"
 #include "reliability/residue.hpp"
 #include "util/bitops.hpp"
 
@@ -19,8 +16,10 @@ namespace apim::core {
 using util::low_mask;
 
 ApimDevice::ApimDevice(ApimConfig config) : config_(config) {
-  assert(config_.word_bits >= 4 && config_.word_bits <= 32);
-  assert(config_.parallel_lanes >= 1);
+  if (config_.word_bits < 4 || config_.word_bits > 32)
+    throw std::invalid_argument("ApimDevice: word_bits must be in [4, 32]");
+  if (config_.parallel_lanes < 1)
+    throw std::invalid_argument("ApimDevice: parallel_lanes must be >= 1");
 }
 
 std::uint64_t ApimDevice::clamp_magnitude(std::uint64_t m) const noexcept {
@@ -28,309 +27,89 @@ std::uint64_t ApimDevice::clamp_magnitude(std::uint64_t m) const noexcept {
   return m > cap ? cap : m;
 }
 
-std::uint64_t ApimDevice::mul_magnitude(std::uint64_t a, std::uint64_t b) {
+std::uint64_t ApimDevice::run_op(OpKind op, std::uint64_t a,
+                                 std::uint64_t b) {
+  const OpKernel& k = op_kernel(op);
+  const Operands ab{a, b};
+  OpOutcome r{};
+  execute(k, std::span(&ab, 1), std::span(&r, 1), /*may_slice=*/false);
+  return account(k, ab, r);
+}
+
+void ApimDevice::run_batch(OpKind op, std::span<const Operands> ops,
+                           std::span<std::uint64_t> values,
+                           std::span<util::Cycles> op_cycles) {
+  if (values.size() != ops.size() || op_cycles.size() != ops.size())
+    throw std::invalid_argument(
+        "ApimDevice::run_batch: values and op_cycles must match ops in size");
+  const OpKernel& k = op_kernel(op);
+  std::array<OpOutcome, arith::kBitsliceLanes> raw{};
+  for (std::size_t lo = 0; lo < ops.size(); lo += arith::kBitsliceLanes) {
+    const std::size_t m = std::min(arith::kBitsliceLanes, ops.size() - lo);
+    execute(k, ops.subspan(lo, m), std::span(raw.data(), m),
+            /*may_slice=*/true);
+    // Replay the scalar accounting per op, in op order.
+    for (std::size_t j = 0; j < m; ++j) {
+      const util::Cycles before = stats_.cycles;
+      values[lo + j] = account(k, ops[lo + j], raw[j]);
+      op_cycles[lo + j] = stats_.cycles - before;
+    }
+  }
+}
+
+void ApimDevice::execute(const OpKernel& k, std::span<const Operands> ops,
+                         std::span<OpOutcome> out, bool may_slice) const {
+  const Backend backend = config_.backend;
+  if (may_slice && backend == Backend::kBitsliced && k.slice != nullptr) {
+    k.slice(ops, config_, out);
+    return;
+  }
+  const auto scalar = backend == Backend::kBitLevel ? k.engine : k.word;
+  for (std::size_t i = 0; i < ops.size(); ++i) out[i] = scalar(ops[i], config_);
+}
+
+std::uint64_t ApimDevice::account(const OpKernel& k, Operands ab,
+                                  const OpOutcome& r) {
   // Op index BEFORE the increment: lane assignment and transient-fault
   // draws key off it, and it restarts per device clone, so host-parallel
   // chunking reproduces it for every thread count (apps/parallel.hpp).
-  const std::uint64_t op_index = next_op_index();
-  ++stats_.multiplies;
-  std::uint64_t product;
-  util::Cycles op_cycles;
-  double op_energy;
-  if (config_.backend == Backend::kBitLevel) {
-    const arith::InMemoryResult r = arith::inmemory_multiply(
-        a, b, config_.word_bits, config_.approx, config_.energy);
-    product = r.value;
-    op_cycles = r.cycles;
-    op_energy = r.energy_ops_pj;
-  } else {
-    const arith::MultiplyOutcome r =
-        arith::fast_multiply(a, b, config_.word_bits, config_.approx,
-                             config_.energy);
-    product = r.product;
-    op_cycles = r.cycles;
-    op_energy = r.energy_ops_pj;
-    stats_.partial_products += r.partial_count;
-  }
-  stats_.cycles += op_cycles;
-  stats_.energy_ops_pj += op_energy;
-  if (!config_.reliability.passive()) {
-    product = protect_result(product, a, b, 2 * config_.word_bits,
-                             /*is_mul=*/true, config_.approx.is_exact(),
-                             op_index, op_cycles, op_energy);
-  }
-  return product;
+  const std::uint64_t op_index = stats_.multiplies + stats_.additions +
+                                 stats_.comparisons + stats_.popcounts;
+  ++(stats_.*k.counter);
+  stats_.partial_products += r.partial_products;
+  stats_.cycles += r.cycles;
+  stats_.energy_ops_pj += r.energy_ops_pj;
+  std::uint64_t value = r.value;
+  if (!config_.reliability.passive())
+    value = protect_result(k, ab, r, op_index);
+  return k.decode != nullptr ? k.decode(value, config_.word_bits) : value;
 }
 
-namespace {
-/// The adder relax setting scales with adder width: standalone word adds
-/// relax the same fraction of their N bits as the multiplier's final stage
-/// relaxes of its 2N (see the class comment).
-unsigned adder_relax(const arith::ApproxConfig& approx,
-                     unsigned word_bits) noexcept {
-  const unsigned m_add = approx.relax_bits / 2;
-  return m_add > word_bits ? word_bits : m_add;
-}
-}  // namespace
-
-std::uint64_t ApimDevice::add_magnitude(std::uint64_t a, std::uint64_t b) {
-  const std::uint64_t op_index = next_op_index();
-  ++stats_.additions;
-  const unsigned requested = adder_relax(config_.approx, config_.word_bits);
-  std::uint64_t sum;
-  util::Cycles op_cycles;
-  double op_energy;
-  if (config_.backend == Backend::kBitLevel) {
-    const unsigned relax =
-        arith::profitable_add_relax(config_.word_bits, requested);
-    const arith::InMemoryResult r =
-        relax == 0 ? arith::inmemory_serial_add(a, b, config_.word_bits,
-                                                config_.energy)
-                   : arith::inmemory_relaxed_add(a, b, config_.word_bits,
-                                                 relax, config_.energy);
-    sum = r.value;
-    op_cycles = r.cycles;
-    op_energy = r.energy_ops_pj;
-  } else {
-    const arith::AddOutcome r =
-        arith::fast_add(a, b, config_.word_bits, requested, config_.energy);
-    sum = r.sum;
-    op_cycles = r.cycles;
-    op_energy = r.energy_ops_pj;
-  }
-  stats_.cycles += op_cycles;
-  stats_.energy_ops_pj += op_energy;
-  if (!config_.reliability.passive()) {
-    sum = protect_result(sum, a, b, config_.word_bits + 1,
-                         /*is_mul=*/false, requested == 0, op_index,
-                         op_cycles, op_energy);
-  }
-  return sum;
-}
-
-std::uint64_t ApimDevice::cmp_magnitude(std::uint64_t a, std::uint64_t b) {
-  const std::uint64_t op_index = next_op_index();
-  ++stats_.comparisons;
-  const unsigned n = config_.word_bits;
-  const std::uint64_t bc = ~b & low_mask(n);  // Residue-check operand.
-  std::uint64_t sum;
-  util::Cycles op_cycles;
-  double op_energy;
-  if (config_.backend == Backend::kBitLevel) {
-    const arith::InMemoryResult r =
-        arith::inmemory_compare(a, b, n, config_.energy);
-    sum = r.value;
-    op_cycles = r.cycles;
-    op_energy = r.energy_ops_pj;
-  } else {
-    const arith::CompareOutcome r = arith::fast_compare(a, b, n,
-                                                        config_.energy);
-    sum = r.sum;
-    op_cycles = r.cycles;
-    op_energy = r.energy_ops_pj;
-  }
-  stats_.cycles += op_cycles;
-  stats_.energy_ops_pj += op_energy;
-  if (!config_.reliability.passive()) {
-    sum = protect_result(sum, a & low_mask(n), bc, n + 1,
-                         /*is_mul=*/false, /*exact=*/true, op_index,
-                         op_cycles, op_energy);
-  }
-  // word_bits <= 32, so the adder carry always sits in-band at bit n.
-  return arith::compare_code(sum, util::bit(sum, n) != 0, n);
-}
-
-std::uint64_t ApimDevice::popcnt_magnitude(std::uint64_t a) {
-  const std::uint64_t op_index = next_op_index();
-  ++stats_.popcounts;
-  const unsigned n = config_.word_bits;
-  std::uint64_t count;
-  util::Cycles op_cycles;
-  double op_energy;
-  if (config_.backend == Backend::kBitLevel) {
-    const arith::InMemoryResult r =
-        arith::inmemory_popcount(a, n, config_.energy);
-    count = r.value;
-    op_cycles = r.cycles;
-    op_energy = r.energy_ops_pj;
-  } else {
-    const arith::AddOutcome r = arith::fast_popcount(a, n, config_.energy);
-    count = r.sum;
-    op_cycles = r.cycles;
-    op_energy = r.energy_ops_pj;
-  }
-  stats_.cycles += op_cycles;
-  stats_.energy_ops_pj += op_energy;
-  if (!config_.reliability.passive()) {
-    count = protect_result(count, a & low_mask(n), 0,
-                           arith::popcount_width_cap(n),
-                           /*is_mul=*/false, /*exact=*/true, op_index,
-                           op_cycles, op_energy, /*has_residue=*/false);
-  }
-  return count;
-}
-
-void ApimDevice::mul_magnitude_batch(
-    std::span<const std::pair<std::uint64_t, std::uint64_t>> ops,
-    std::span<std::uint64_t> values, std::span<util::Cycles> op_cycles) {
-  assert(values.size() == ops.size() && op_cycles.size() == ops.size());
-  if (config_.backend != Backend::kBitsliced) {
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-      const util::Cycles before = stats_.cycles;
-      values[i] = mul_magnitude(ops[i].first, ops[i].second);
-      op_cycles[i] = stats_.cycles - before;
-    }
-    return;
-  }
-  std::array<arith::MultiplyOutcome, arith::kBitsliceLanes> slice;
-  for (std::size_t lo = 0; lo < ops.size(); lo += arith::kBitsliceLanes) {
-    const std::size_t m = std::min(arith::kBitsliceLanes, ops.size() - lo);
-    arith::bitsliced_multiply_slice(ops.subspan(lo, m), config_.word_bits,
-                                    config_.approx, config_.energy,
-                                    std::span(slice.data(), m));
-    // Replay the scalar mul_magnitude accounting per op, in op order.
-    for (std::size_t k = 0; k < m; ++k) {
-      const util::Cycles before = stats_.cycles;
-      const std::uint64_t op_index = next_op_index();
-      ++stats_.multiplies;
-      const arith::MultiplyOutcome& r = slice[k];
-      std::uint64_t product = r.product;
-      stats_.partial_products += r.partial_count;
-      stats_.cycles += r.cycles;
-      stats_.energy_ops_pj += r.energy_ops_pj;
-      if (!config_.reliability.passive()) {
-        product = protect_result(product, ops[lo + k].first,
-                                 ops[lo + k].second, 2 * config_.word_bits,
-                                 /*is_mul=*/true, config_.approx.is_exact(),
-                                 op_index, r.cycles, r.energy_ops_pj);
-      }
-      values[lo + k] = product;
-      op_cycles[lo + k] = stats_.cycles - before;
-    }
-  }
-}
-
-void ApimDevice::add_magnitude_batch(
-    std::span<const std::pair<std::uint64_t, std::uint64_t>> ops,
-    std::span<std::uint64_t> values, std::span<util::Cycles> op_cycles) {
-  assert(values.size() == ops.size() && op_cycles.size() == ops.size());
-  if (config_.backend != Backend::kBitsliced) {
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-      const util::Cycles before = stats_.cycles;
-      values[i] = add_magnitude(ops[i].first, ops[i].second);
-      op_cycles[i] = stats_.cycles - before;
-    }
-    return;
-  }
-  const unsigned requested = adder_relax(config_.approx, config_.word_bits);
-  std::array<arith::AddOutcome, arith::kBitsliceLanes> slice;
-  for (std::size_t lo = 0; lo < ops.size(); lo += arith::kBitsliceLanes) {
-    const std::size_t m = std::min(arith::kBitsliceLanes, ops.size() - lo);
-    arith::bitsliced_add_slice(ops.subspan(lo, m), config_.word_bits,
-                               requested, config_.energy,
-                               std::span(slice.data(), m));
-    for (std::size_t k = 0; k < m; ++k) {
-      const util::Cycles before = stats_.cycles;
-      const std::uint64_t op_index = next_op_index();
-      ++stats_.additions;
-      const arith::AddOutcome& r = slice[k];
-      std::uint64_t sum = r.sum;
-      stats_.cycles += r.cycles;
-      stats_.energy_ops_pj += r.energy_ops_pj;
-      if (!config_.reliability.passive()) {
-        sum = protect_result(sum, ops[lo + k].first, ops[lo + k].second,
-                             config_.word_bits + 1, /*is_mul=*/false,
-                             requested == 0, op_index, r.cycles,
-                             r.energy_ops_pj);
-      }
-      values[lo + k] = sum;
-      op_cycles[lo + k] = stats_.cycles - before;
-    }
-  }
-}
-
-void ApimDevice::cmp_magnitude_batch(
-    std::span<const std::pair<std::uint64_t, std::uint64_t>> ops,
-    std::span<std::uint64_t> values, std::span<util::Cycles> op_cycles) {
-  assert(values.size() == ops.size() && op_cycles.size() == ops.size());
-  if (config_.backend != Backend::kBitsliced) {
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-      const util::Cycles before = stats_.cycles;
-      values[i] = cmp_magnitude(ops[i].first, ops[i].second);
-      op_cycles[i] = stats_.cycles - before;
-    }
-    return;
-  }
-  const unsigned n = config_.word_bits;
-  std::array<arith::CompareOutcome, arith::kBitsliceLanes> slice;
-  for (std::size_t lo = 0; lo < ops.size(); lo += arith::kBitsliceLanes) {
-    const std::size_t m = std::min(arith::kBitsliceLanes, ops.size() - lo);
-    arith::bitsliced_compare_slice(ops.subspan(lo, m), n, config_.energy,
-                                   std::span(slice.data(), m));
-    // Replay the scalar cmp_magnitude accounting per op, in op order.
-    for (std::size_t k = 0; k < m; ++k) {
-      const util::Cycles before = stats_.cycles;
-      const std::uint64_t op_index = next_op_index();
-      ++stats_.comparisons;
-      const arith::CompareOutcome& r = slice[k];
-      std::uint64_t sum = r.sum;
-      stats_.cycles += r.cycles;
-      stats_.energy_ops_pj += r.energy_ops_pj;
-      if (!config_.reliability.passive()) {
-        sum = protect_result(sum, ops[lo + k].first & low_mask(n),
-                             ~ops[lo + k].second & low_mask(n), n + 1,
-                             /*is_mul=*/false, /*exact=*/true, op_index,
-                             r.cycles, r.energy_ops_pj);
-      }
-      values[lo + k] = arith::compare_code(sum, util::bit(sum, n) != 0, n);
-      op_cycles[lo + k] = stats_.cycles - before;
-    }
-  }
-}
-
-void ApimDevice::popcnt_magnitude_batch(
-    std::span<const std::pair<std::uint64_t, std::uint64_t>> ops,
-    std::span<std::uint64_t> values, std::span<util::Cycles> op_cycles) {
-  assert(values.size() == ops.size() && op_cycles.size() == ops.size());
-  // No bitsliced fast path yet: the popcount tree plan is shared across
-  // lanes but per-lane evaluation already matches the word model exactly,
-  // so every host backend tier runs the scalar loop.
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    const util::Cycles before = stats_.cycles;
-    values[i] = popcnt_magnitude(ops[i].first);
-    op_cycles[i] = stats_.cycles - before;
-  }
-}
-
-std::uint64_t ApimDevice::protect_result(std::uint64_t raw, std::uint64_t a,
-                                         std::uint64_t b, unsigned out_bits,
-                                         bool is_mul, bool exact,
-                                         std::uint64_t op_index,
-                                         util::Cycles exec_cycles,
-                                         double exec_energy,
-                                         bool has_residue) {
+std::uint64_t ApimDevice::protect_result(const OpKernel& k, Operands ab,
+                                         const OpOutcome& r,
+                                         std::uint64_t op_index) {
   const reliability::ReliabilityConfig& rel = config_.reliability;
   const reliability::LaneFaultTable& faults = rel.faults;
+  const unsigned out_bits = k.out_bits(config_.word_bits);
   const std::size_t lane = faults.lane_of(op_index);
-  std::uint64_t value =
-      faults.apply(lane, /*domain=*/0, is_mul, raw, out_bits, op_index,
-                   /*attempt=*/0);
+  std::uint64_t value = faults.apply(lane, /*domain=*/0, k.is_mul, r.value,
+                                     out_bits, op_index, /*attempt=*/0);
 
   using reliability::ReliabilityPolicy;
   if (rel.policy == ReliabilityPolicy::kOff) return value;
   // Ops with no residue identity (popcount) cannot be arbitrated by the
   // detect policies' mod-3 check, so every active policy protects them the
   // spatial way.
-  if (rel.policy == ReliabilityPolicy::kTripleVote || !has_residue) {
+  if (rel.policy == ReliabilityPolicy::kTripleVote || !k.has_residue) {
     // Domains 1 and 2 run the same schedule concurrently on their
     // redundant processing blocks: latency overlaps (plus a vote step
     // at the sense amps), energy triples.
     const std::uint64_t v1 =
-        faults.apply(lane, 1, is_mul, raw, out_bits, op_index, 0);
+        faults.apply(lane, 1, k.is_mul, r.value, out_bits, op_index, 0);
     const std::uint64_t v2 =
-        faults.apply(lane, 2, is_mul, raw, out_bits, op_index, 0);
+        faults.apply(lane, 2, k.is_mul, r.value, out_bits, op_index, 0);
     stats_.energy_ops_pj +=
-        2.0 * exec_energy +
+        2.0 * r.energy_ops_pj +
         static_cast<double>(out_bits) * config_.energy.e_maj_pj;
     stats_.cycles += 2;
     ++stats_.votes;
@@ -341,17 +120,20 @@ std::uint64_t ApimDevice::protect_result(std::uint64_t raw, std::uint64_t a,
   // Residue codes arbitrate only EXACT results: an approximate op
   // legitimately deviates from the checked identity (reliability/
   // residue.hpp), so those results pass through unchecked.
-  if (!exact) return value;
+  if (k.exact != nullptr && !k.exact(config_)) return value;
+  const auto [a, b] = k.residue_operands != nullptr
+                          ? k.residue_operands(ab, config_.word_bits)
+                          : ab;
   const unsigned total_bits =
-      is_mul ? 4 * config_.word_bits : 3 * config_.word_bits + 1;
+      k.is_mul ? 4 * config_.word_bits : 3 * config_.word_bits + 1;
   const auto residue_ok = [&](std::uint64_t v) {
     const reliability::ResidueCost c =
         reliability::residue_check_cost(total_bits, config_.energy);
     stats_.cycles += c.cycles;
     stats_.energy_ops_pj += c.energy_pj;
     ++stats_.residue_checks;
-    const bool ok = is_mul ? reliability::residue_match_mul(a, b, v)
-                           : reliability::residue_match_add(a, b, v);
+    const bool ok = k.is_mul ? reliability::residue_match_mul(a, b, v)
+                             : reliability::residue_match_add(a, b, v);
     if (!ok) ++stats_.faults_detected;
     return ok;
   };
@@ -363,9 +145,9 @@ std::uint64_t ApimDevice::protect_result(std::uint64_t raw, std::uint64_t a,
   // pays the full op again.
   for (unsigned d = 1; d <= rel.max_retries; ++d) {
     ++stats_.retries;
-    stats_.cycles += exec_cycles;
-    stats_.energy_ops_pj += exec_energy;
-    value = faults.apply(lane, d, is_mul, raw, out_bits, op_index, d);
+    stats_.cycles += r.cycles;
+    stats_.energy_ops_pj += r.energy_ops_pj;
+    value = faults.apply(lane, d, k.is_mul, r.value, out_bits, op_index, d);
     if (residue_ok(value)) return value;
   }
   // Every domain failed verification: hand back the last value and flag

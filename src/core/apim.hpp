@@ -31,6 +31,7 @@
 
 #include "arith/fast_units.hpp"
 #include "core/config.hpp"
+#include "core/op_kernel.hpp"
 #include "core/stats.hpp"
 #include "util/fixed_point.hpp"
 
@@ -53,25 +54,35 @@ class ApimDevice {
   }
 
   // -- Raw magnitude operations --------------------------------------------
+  //
+  // Each forwards to run_op, the one scalar path for every op kind.
 
   /// word_bits x word_bits magnitude multiply; full 2N-bit product.
-  [[nodiscard]] std::uint64_t mul_magnitude(std::uint64_t a, std::uint64_t b);
+  [[nodiscard]] std::uint64_t mul_magnitude(std::uint64_t a, std::uint64_t b) {
+    return run_op(OpKind::kMultiply, a, b);
+  }
 
   /// word_bits-wide magnitude addition (carry out preserved).
-  [[nodiscard]] std::uint64_t add_magnitude(std::uint64_t a, std::uint64_t b);
+  [[nodiscard]] std::uint64_t add_magnitude(std::uint64_t a, std::uint64_t b) {
+    return run_op(OpKind::kVectorAdd, a, b);
+  }
 
   /// word_bits-wide three-way magnitude comparison: returns
   /// arith::kCmpLt / kCmpEq / kCmpGt. Always exact regardless of the
   /// device's relax setting (predicates and join keys are the exactness
   /// domain); the underlying complement-add is residue-protected like any
   /// other exact add.
-  [[nodiscard]] std::uint64_t cmp_magnitude(std::uint64_t a, std::uint64_t b);
+  [[nodiscard]] std::uint64_t cmp_magnitude(std::uint64_t a, std::uint64_t b) {
+    return run_op(OpKind::kCompare, a, b);
+  }
 
   /// Popcount of the low word_bits bits of `a` via the Wallace tree-add of
   /// its bits. No mod-3 residue identity relates the count to the input,
   /// so active reliability policies protect it by spatial triple-vote
   /// instead of residue checks.
-  [[nodiscard]] std::uint64_t popcnt_magnitude(std::uint64_t a);
+  [[nodiscard]] std::uint64_t popcnt_magnitude(std::uint64_t a) {
+    return run_op(OpKind::kPopcount, a, 0);
+  }
 
   // -- Batched magnitude operations ----------------------------------------
   //
@@ -79,25 +90,35 @@ class ApimDevice {
   // op indices, fault draws, residue checks, retry ladders and every stats
   // field replay per op, so values, cycles and energy are bit-identical to
   // the scalar loop for EVERY backend. Under Backend::kBitsliced the raw
-  // per-op outcomes come from 64-lane bitsliced slices instead of per-op
-  // word models — same numbers, a fraction of the host cost. `values[i]`
-  // receives op i's result; `op_cycles[i]` the device-cycle delta charged
-  // for op i (including protection and retries). Both spans must match
-  // `ops` in size.
-  void mul_magnitude_batch(
-      std::span<const std::pair<std::uint64_t, std::uint64_t>> ops,
-      std::span<std::uint64_t> values, std::span<util::Cycles> op_cycles);
-  void add_magnitude_batch(
-      std::span<const std::pair<std::uint64_t, std::uint64_t>> ops,
-      std::span<std::uint64_t> values, std::span<util::Cycles> op_cycles);
-  void cmp_magnitude_batch(
-      std::span<const std::pair<std::uint64_t, std::uint64_t>> ops,
-      std::span<std::uint64_t> values, std::span<util::Cycles> op_cycles);
-  /// Popcount batch; `ops[i].second` is ignored (pair-shaped for symmetry
-  /// with the other batch entry points and serve::Request operands).
-  void popcnt_magnitude_batch(
-      std::span<const std::pair<std::uint64_t, std::uint64_t>> ops,
-      std::span<std::uint64_t> values, std::span<util::Cycles> op_cycles);
+  // per-op outcomes come from 64-lane bitsliced slices (for op kinds whose
+  // row has a slice kernel) instead of per-op word models — same numbers,
+  // a fraction of the host cost. `values[i]` receives op i's result;
+  // `op_cycles[i]` the device-cycle delta charged for op i (including
+  // protection and retries). Throws std::invalid_argument unless both
+  // spans match `ops` in size. Popcount ignores `ops[i].second`.
+  void run_batch(OpKind op, std::span<const Operands> ops,
+                 std::span<std::uint64_t> values,
+                 std::span<util::Cycles> op_cycles);
+  void mul_magnitude_batch(std::span<const Operands> ops,
+                           std::span<std::uint64_t> values,
+                           std::span<util::Cycles> op_cycles) {
+    run_batch(OpKind::kMultiply, ops, values, op_cycles);
+  }
+  void add_magnitude_batch(std::span<const Operands> ops,
+                           std::span<std::uint64_t> values,
+                           std::span<util::Cycles> op_cycles) {
+    run_batch(OpKind::kVectorAdd, ops, values, op_cycles);
+  }
+  void cmp_magnitude_batch(std::span<const Operands> ops,
+                           std::span<std::uint64_t> values,
+                           std::span<util::Cycles> op_cycles) {
+    run_batch(OpKind::kCompare, ops, values, op_cycles);
+  }
+  void popcnt_magnitude_batch(std::span<const Operands> ops,
+                              std::span<std::uint64_t> values,
+                              std::span<util::Cycles> op_cycles) {
+    run_batch(OpKind::kPopcount, ops, values, op_cycles);
+  }
 
   // -- Signed fixed-point operations ----------------------------------------
 
@@ -171,24 +192,6 @@ class ApimDevice {
     return stats_.escalations > 0;
   }
 
-  /// The reliability counters an online health tracker consumes per
-  /// execution window: residue/vote mismatches, ladder re-executions, and
-  /// exhausted ladders. The serving runtime's per-fault-domain state
-  /// machine (serve/health.hpp) quarantines on escalations and turns
-  /// domains suspect on detections.
-  struct HealthCounters {
-    std::uint64_t detections = 0;
-    std::uint64_t retries = 0;
-    std::uint64_t escalations = 0;
-  };
-  [[nodiscard]] HealthCounters health_counters() const noexcept {
-    return health_counters(stats_);
-  }
-  [[nodiscard]] static HealthCounters health_counters(
-      const ExecStats& s) noexcept {
-    return HealthCounters{s.faults_detected, s.retries, s.escalations};
-  }
-
   // -- Accounting -----------------------------------------------------------
   [[nodiscard]] const ExecStats& stats() const noexcept { return stats_; }
   void reset_stats() noexcept { stats_.reset(); }
@@ -208,29 +211,29 @@ class ApimDevice {
  private:
   [[nodiscard]] std::uint64_t clamp_magnitude(std::uint64_t m) const noexcept;
 
-  /// Apply the configured fault state to a raw unit result and run the
-  /// policy's detection/recovery machinery (see reliability/policy.hpp).
-  /// `exec_cycles`/`exec_energy` are the cost of ONE execution of the op,
-  /// used to charge retries and redundant vote copies; `exact` says
-  /// whether the raw value is bit-exact (residue checking needs that).
-  /// `has_residue` says whether a mod-3 identity over (a, b) checks the
-  /// result; ops without one (popcount) fall back to triple-vote under the
-  /// detect policies.
-  [[nodiscard]] std::uint64_t protect_result(std::uint64_t raw,
-                                             std::uint64_t a, std::uint64_t b,
-                                             unsigned out_bits, bool is_mul,
-                                             bool exact,
-                                             std::uint64_t op_index,
-                                             util::Cycles exec_cycles,
-                                             double exec_energy,
-                                             bool has_residue = true);
+  /// One op of kind `op` through its core/op_kernel.hpp row: execute on the
+  /// configured tier, account, protect, decode.
+  [[nodiscard]] std::uint64_t run_op(OpKind op, std::uint64_t a,
+                                     std::uint64_t b);
 
-  /// Shared op-index base: every magnitude op keys its lane assignment and
-  /// fault draws off the count of ops issued before it, device-clone-local.
-  [[nodiscard]] std::uint64_t next_op_index() const noexcept {
-    return stats_.multiplies + stats_.additions + stats_.comparisons +
-           stats_.popcounts;
-  }
+  /// Raw outcomes of `ops` (at most one slice) on the configured tier —
+  /// the one place the backend is read. Only batch callers may slice, so
+  /// scalar ops on kBitsliced run the word models.
+  void execute(const OpKernel& k, std::span<const Operands> ops,
+               std::span<OpOutcome> out, bool may_slice) const;
+
+  /// The per-op replay shared by the scalar and batch paths: op index,
+  /// stats, protection, decode. Returns the op's value.
+  [[nodiscard]] std::uint64_t account(const OpKernel& k, Operands ab,
+                                      const OpOutcome& r);
+
+  /// Apply the configured fault state to a raw unit result and run the
+  /// policy's detection/recovery machinery (see reliability/policy.hpp) in
+  /// the row's protection shape. `r` is the cost of ONE execution of the
+  /// op, used to charge retries and redundant vote copies.
+  [[nodiscard]] std::uint64_t protect_result(const OpKernel& k, Operands ab,
+                                             const OpOutcome& r,
+                                             std::uint64_t op_index);
 
   ApimConfig config_;
   ExecStats stats_;

@@ -19,11 +19,12 @@ enum class Backend {
   /// cells. Orders of magnitude slower on the host; use for audits and
   /// small workloads.
   kBitLevel,
-  /// Bitsliced batch tier (arith/bitsliced.hpp): homogeneous batches run
-  /// in 64-lane bit-plane slices, values/cycles/energy bit-identical to
-  /// kFast (which is itself bit-identical to the engine). Engages on the
-  /// device's *_magnitude_batch entry points; scalar ops fall back to the
-  /// word models, so results never depend on call granularity.
+  /// Bitsliced batch tier (arith/bitsliced.hpp): ApimDevice::run_batch
+  /// runs op kinds whose core/op_kernel.hpp row has a slice kernel in
+  /// 64-lane bit-plane slices, values/cycles/energy bit-identical to kFast
+  /// (itself bit-identical to the engine). Scalar ops and kinds without a
+  /// slice kernel run the word models, so results never depend on call
+  /// granularity.
   kBitsliced,
 };
 

@@ -8,19 +8,6 @@
 
 namespace apim::serve {
 
-namespace {
-
-core::ApimConfig shape_config(const BatchKey& key,
-                              const core::ApimConfig& base) {
-  core::ApimConfig cfg = base;
-  cfg.word_bits = key.width;
-  cfg.approx.relax_bits = key.relax_bits;
-  cfg.reliability.policy = key.policy;
-  return cfg;
-}
-
-}  // namespace
-
 BatchExecution execute_batch(
     std::span<const std::span<const std::pair<std::uint64_t, std::uint64_t>>>
         members,
@@ -44,7 +31,10 @@ BatchExecution execute_batch(
   for (const auto& ops : members)
     for (const auto& [a, b] : ops) flat.emplace_back(clamp(a), clamp(b));
 
-  const core::ApimConfig cfg = shape_config(key, base);
+  core::ApimConfig cfg = base;
+  cfg.word_bits = key.width;
+  cfg.approx.relax_bits = key.relax_bits;
+  cfg.reliability.policy = key.policy;
   const std::size_t chunks = (total_ops + kExecutorGrain - 1) / kExecutorGrain;
 
   std::vector<std::uint64_t> per_op_value(total_ops);
@@ -60,43 +50,29 @@ BatchExecution execute_batch(
         const auto ops = std::span(flat).subspan(lo, hi - lo);
         const auto vals = std::span(per_op_value).subspan(lo, hi - lo);
         const auto cycles = std::span(per_op_cycles).subspan(lo, hi - lo);
-        switch (key.op) {
-          case OpKind::kMultiply:
-            worker.mul_magnitude_batch(ops, vals, cycles);
-            break;
-          case OpKind::kVectorAdd:
-            worker.add_magnitude_batch(ops, vals, cycles);
-            break;
-          case OpKind::kCompare:
-            worker.cmp_magnitude_batch(ops, vals, cycles);
-            break;
-          case OpKind::kPopcount:
-            worker.popcnt_magnitude_batch(ops, vals, cycles);
-            break;
-        }
+        worker.run_batch(key.op, ops, vals, cycles);
         chunk_stats[lo / kExecutorGrain] = worker.stats();
       });
 
   for (const core::ExecStats& s : chunk_stats) out.stats.merge(s);
 
   // Serial merge in op order: distribute values back to members and
-  // account latency per the op kind's parallelism model.
-  // Adder-pass shapes (add/compare/popcount) are row-parallel: one lane,
-  // shared serial pass. Only multiplies spread over the stream's lanes.
-  out.lanes_used =
-      key.op == OpKind::kMultiply ? std::min(lanes, total_ops) : 1;
+  // account latency per the op kind's lane model.
+  const bool round_robin =
+      core::op_kernel(key.op).lanes == core::LaneModel::kRoundRobin;
+  out.lanes_used = round_robin ? std::min(lanes, total_ops) : 1;
   std::vector<util::Cycles> lane_cycles(out.lanes_used, 0);
   std::size_t op = 0;
   for (std::size_t m = 0; m < members.size(); ++m) {
     out.values[m].reserve(members[m].size());
     for (std::size_t j = 0; j < members[m].size(); ++j, ++op) {
       out.values[m].push_back(per_op_value[op]);
-      if (key.op != OpKind::kMultiply) {
+      if (round_robin) {
+        lane_cycles[op % out.lanes_used] += per_op_cycles[op];
+      } else {
         // Row-parallel: every op shares the pass; the slowest op (retry
         // ladders can lengthen one) bounds the batch.
         lane_cycles[0] = std::max(lane_cycles[0], per_op_cycles[op]);
-      } else {
-        lane_cycles[op % out.lanes_used] += per_op_cycles[op];
       }
       out.total_lane_cycles += per_op_cycles[op];
     }

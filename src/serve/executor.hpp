@@ -9,14 +9,9 @@
 // serially in index order — values, cycles and energy are bit-identical
 // for every host thread count.
 //
-// Latency semantics per op kind:
-//  * kMultiply — ops round-robin over the stream's lanes (the same
-//    discipline as arith::fast_multiply_batch); the batch makespan is the
-//    slowest lane's cycle sum.
-//  * kVectorAdd / kCompare / kPopcount — row-parallel inside a tile
-//    (arith/vector_unit.hpp): these are all adder-pass schedules, so every
-//    op shares one pass, the makespan is the slowest SINGLE op and one
-//    lane is occupied, while energy scales with the count.
+// Batch latency follows the op kind's lane model (core/op_kernel.hpp):
+// multiplies round-robin over the stream's lanes, adder-pass kinds share
+// one row-parallel pass in one lane.
 #pragma once
 
 #include <cstddef>

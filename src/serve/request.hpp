@@ -14,23 +14,17 @@
 #include <utility>
 #include <vector>
 
+#include "core/op_kernel.hpp"
 #include "quality/qos.hpp"
 #include "reliability/policy.hpp"
 #include "util/units.hpp"
 
 namespace apim::serve {
 
-/// Which in-memory schedule a request needs. Multiplies round-robin over
-/// the stream's lanes; vector adds — and the other adder-pass shapes,
-/// compares (complement-add, arith/compare_units.hpp) and popcounts
-/// (degenerate tree-add) — are row-parallel inside a tile (one lane,
-/// shared serial pass — arith/vector_unit.hpp).
-enum class OpKind : std::uint8_t {
-  kMultiply,
-  kVectorAdd,
-  kCompare,   ///< Three-way compare; values are arith::kCmpLt/kCmpEq/kCmpGt.
-  kPopcount,  ///< Set-bit count of operand.first (operand.second ignored).
-};
+/// Which in-memory schedule a request needs: one row of the device's
+/// op-kernel table (core/op_kernel.hpp), which also fixes how a batch of
+/// it occupies the stream's lanes.
+using OpKind = core::OpKind;
 
 enum class RequestStatus : std::uint8_t {
   kPending,   ///< Not yet finalized (internal state).
@@ -39,16 +33,6 @@ enum class RequestStatus : std::uint8_t {
   kExpired,   ///< Deadline passed before dispatch; never executed.
   kInvalid,   ///< Malformed (width out of range, no operands).
 };
-
-[[nodiscard]] constexpr const char* to_string(OpKind op) noexcept {
-  switch (op) {
-    case OpKind::kMultiply: return "mul";
-    case OpKind::kVectorAdd: return "add";
-    case OpKind::kCompare: return "cmp";
-    case OpKind::kPopcount: return "popcnt";
-  }
-  return "?";
-}
 
 [[nodiscard]] constexpr const char* to_string(RequestStatus s) noexcept {
   switch (s) {

@@ -44,21 +44,8 @@ namespace {
 double golden_value(OpKind op, unsigned width, std::uint64_t a,
                     std::uint64_t b) {
   const std::uint64_t cap = util::mask_n(width);
-  const std::uint64_t ca = std::min(a, cap);
-  const std::uint64_t cb = std::min(b, cap);
-  switch (op) {
-    case OpKind::kMultiply:
-      return static_cast<double>(ca) * static_cast<double>(cb);
-    case OpKind::kVectorAdd:
-      return static_cast<double>(ca) + static_cast<double>(cb);
-    case OpKind::kCompare:
-      return static_cast<double>(ca < cb   ? arith::kCmpLt
-                                 : ca == cb ? arith::kCmpEq
-                                            : arith::kCmpGt);
-    case OpKind::kPopcount:
-      return static_cast<double>(util::popcount(ca));
-  }
-  return 0.0;
+  return static_cast<double>(
+      core::op_kernel(op).host_exact({std::min(a, cap), std::min(b, cap)}));
 }
 
 SchedulerConfig scheduler_config(const ServerConfig& cfg) {

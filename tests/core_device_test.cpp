@@ -2,6 +2,9 @@
 // knobs, statistics and the time/energy/EDP accounting.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "arith/latency_model.hpp"
@@ -141,6 +144,43 @@ TEST(ApimDevice, MagnitudesClampAtWordWidth) {
   ApimDevice dev{cfg};
   // 300 clamps to 255 in an 8-bit datapath.
   EXPECT_EQ(dev.mul_int(300, 1), 255);
+}
+
+// The device's trust boundary holds in every build type, NDEBUG included:
+// malformed configs and mismatched batch spans throw instead of being
+// asserted away.
+TEST(ApimDevice, RejectsOutOfRangeConfig) {
+  const auto make = [](unsigned word_bits, std::size_t lanes) {
+    ApimConfig cfg;
+    cfg.word_bits = word_bits;
+    cfg.parallel_lanes = lanes;
+    return ApimDevice{cfg};
+  };
+  EXPECT_THROW((void)make(3, 1), std::invalid_argument);
+  EXPECT_THROW((void)make(33, 1), std::invalid_argument);
+  EXPECT_THROW((void)make(16, 0), std::invalid_argument);
+  EXPECT_NO_THROW((void)make(4, 1));
+  EXPECT_NO_THROW((void)make(32, 1));
+}
+
+TEST(ApimDevice, BatchRejectsShortOutputSpans) {
+  ApimDevice dev = make_device();
+  const std::vector<std::pair<std::uint64_t, std::uint64_t>> ops(3, {5, 7});
+  std::vector<std::uint64_t> values(3), short_values(2);
+  std::vector<util::Cycles> cycles(3), short_cycles(2);
+  for (const OpKind op : {OpKind::kMultiply, OpKind::kVectorAdd,
+                          OpKind::kCompare, OpKind::kPopcount}) {
+    EXPECT_THROW(dev.run_batch(op, ops, short_values, cycles),
+                 std::invalid_argument);
+    EXPECT_THROW(dev.run_batch(op, ops, values, short_cycles),
+                 std::invalid_argument);
+  }
+  EXPECT_THROW(dev.mul_magnitude_batch(ops, short_values, cycles),
+               std::invalid_argument);
+  // Nothing was issued by the rejected calls.
+  EXPECT_EQ(dev.stats().cycles, 0u);
+  dev.mul_magnitude_batch(ops, values, cycles);
+  EXPECT_EQ(values[0], 35u);
 }
 
 }  // namespace
