@@ -62,10 +62,8 @@ Row measure(unsigned n) {
                     arith::final_add_cycles(final_width, relax);
   // Measure the actual error of the relaxed final add on this data.
   {
-    const arith::TreePlan plan =
-        arith::plan_tree_reduction(widths, cap, 1, 2);
     const arith::TreeReduceResult tree =
-        arith::word_tree_reduce(values, plan, em);
+        arith::word_tree_reduce(values, widths, cap, em);
     const std::uint64_t approx =
         arith::approximate_add_value(tree.x, tree.y, final_width, relax);
     row.apim_error_percent =

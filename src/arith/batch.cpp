@@ -6,7 +6,6 @@
 
 #include "arith/bitsliced.hpp"
 #include "arith/fast_units.hpp"
-#include "arith/tree_plan.hpp"
 #include "arith/word_models.hpp"
 #include "util/thread_pool.hpp"
 
@@ -80,19 +79,6 @@ BatchOutcome fast_tree_add_batch(std::span<const std::uint64_t> ops,
   const std::size_t count = ops.size() / stride;
   out.lanes_used = std::min(lanes, count);
 
-  // The batch is homogeneous in shape, so the reduction plan (and with it
-  // the survivors' widths) is shared by every op.
-  TreePlan plan;
-  unsigned n_final = widths[0];
-  if (stride >= 3) {
-    plan = plan_tree_reduction(widths, width_cap, /*block_a=*/1,
-                               /*block_b=*/2);
-    n_final = std::max(plan.operands[plan.final_ids[0]].width,
-                       plan.operands[plan.final_ids[1]].width);
-  } else if (stride == 2) {
-    n_final = std::max(widths[0], widths[1]);
-  }
-
   std::vector<AddOutcome> per_op(count);
   util::ThreadPool::global().parallel_for(
       0, count, kMultiplyGrain, [&](std::size_t lo, std::size_t hi) {
@@ -102,25 +88,19 @@ BatchOutcome fast_tree_add_batch(std::span<const std::uint64_t> ops,
                                       width_cap, em);
           return;
         }
-        // Bitsliced: amortize the plan, slice the final serial add.
+        // Bitsliced: reduce each op's tree, slice the final serial add. The
+        // batch is homogeneous in shape, so every op's survivors share one
+        // width.
         std::array<std::pair<std::uint64_t, std::uint64_t>, kBitsliceLanes>
             xy;
-        std::array<double, kBitsliceLanes> tree_energy{};
-        std::array<util::Cycles, kBitsliceLanes> tree_cycles{};
+        std::array<TreeReduceResult, kBitsliceLanes> tree;
         for (std::size_t i = lo; i < hi; ++i) {
           const std::size_t k = i - lo;
-          const auto values = ops.subspan(i * stride, stride);
-          if (stride == 2) {
-            xy[k] = {values[0], values[1]};
-            tree_energy[k] = 0.0;
-            tree_cycles[k] = 0;
-          } else {
-            const TreeReduceResult tree = word_tree_reduce(values, plan, em);
-            xy[k] = {tree.x, tree.y};
-            tree_energy[k] = tree.energy_ops_pj;
-            tree_cycles[k] = tree.cycles;
-          }
+          tree[k] = word_tree_reduce(ops.subspan(i * stride, stride), widths,
+                                     width_cap, em);
+          xy[k] = {tree[k].x, tree[k].y};
         }
+        const unsigned n_final = std::max(tree[0].x_width, tree[0].y_width);
         std::array<AddOutcome, kBitsliceLanes> fin;
         bitsliced_add_slice(std::span(xy.data(), hi - lo), n_final,
                             /*relax_m=*/0, em, std::span(fin.data(), hi - lo));
@@ -128,9 +108,9 @@ BatchOutcome fast_tree_add_batch(std::span<const std::uint64_t> ops,
           const std::size_t k = i - lo;
           AddOutcome& r = per_op[i];
           r.sum = fin[k].sum;
-          r.cycles = tree_cycles[k] + fin[k].cycles;
+          r.cycles = tree[k].cycles + fin[k].cycles;
           double e = 0.0;
-          e += tree_energy[k];
+          e += tree[k].energy_ops_pj;
           e += fin[k].energy_ops_pj;
           r.energy_ops_pj = e;
           r.carry_out = fin[k].carry_out;

@@ -6,22 +6,21 @@
 // (lane l's operand bit i becomes bit l of plane i) and evaluating the
 // shared carry recurrence once per bit position with plain bitwise ops.
 // Cycles come from the closed-form latency laws (12n+1 serial, 13-cycle
-// CSA stages, 13k+2m+1 relaxed final stage); per-lane energy comes from
-// 8-entry tables precomputed by running the 12-step FA schedule once per
-// input triple (word_fa_bit), indexed by the lanes' bit triples.
+// CSA stages, 13k+2m+1 relaxed final stage); per-lane energy adds one
+// entry of the word tier's full-adder table (FaTable, word_models.hpp)
+// per bit, indexed by the lane's bit triple.
 //
 // Fidelity contract: every per-lane outcome — value, cycles AND the energy
 // double — is bit-identical to the scalar word-level model (fast_multiply /
-// fast_add), because the energy is accumulated with the exact same floating
-// point expressions in the exact same order; the tables merely memoize
-// word_fa_bit's deterministic per-triple result. The cross-backend gate
+// fast_add), because both tiers add the same table entries and the same
+// closed-form terms in the same order. The cross-backend gate
 // (tests/bitsliced_equivalence_test.cpp) enforces this with operator==.
 //
-// Multiplier trees are per-lane heterogeneous (the reduction plan depends
-// on the multiplier's set-bit pattern), so the tree stage runs as a fused
-// allocation-free per-lane evaluator replicating plan_tree_reduction +
-// word_tree_reduce; only the final 2N-bit add is truly bitsliced across
-// lanes. Standalone adds (shared width/relax) bitslice end to end.
+// Multiplier trees are per-lane heterogeneous (the reduction depends on
+// the multiplier's set-bit pattern), so each lane's PPG and tree stage run
+// through the word tier's allocation-free front end (multiply_front); only
+// the final 2N-bit add is truly bitsliced across lanes. Standalone adds
+// (shared width/relax) bitslice end to end.
 #pragma once
 
 #include <cstdint>

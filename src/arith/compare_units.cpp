@@ -1,7 +1,7 @@
 #include "arith/compare_units.hpp"
 
+#include <array>
 #include <cassert>
-#include <vector>
 
 #include "arith/bitsliced.hpp"
 #include "util/bitops.hpp"
@@ -63,11 +63,12 @@ void bitsliced_compare_slice(
   assert(ops.size() <= kBitsliceLanes);
   assert(out.size() >= ops.size());
   const std::uint64_t mask = low_mask(n);
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> add_ops(ops.size());
+  std::array<std::pair<std::uint64_t, std::uint64_t>, kBitsliceLanes> add_ops;
   for (std::size_t l = 0; l < ops.size(); ++l)
     add_ops[l] = {ops[l].first & mask, ~(ops[l].second & mask) & mask};
-  std::vector<AddOutcome> add_out(ops.size());
-  bitsliced_add_slice(add_ops, n, /*relax_m=*/0, em, add_out);
+  std::array<AddOutcome, kBitsliceLanes> add_out;
+  bitsliced_add_slice(std::span(add_ops.data(), ops.size()), n,
+                      /*relax_m=*/0, em, std::span(add_out.data(), ops.size()));
   for (std::size_t l = 0; l < ops.size(); ++l)
     out[l] = compose_compare(ops[l].second & mask, n, em, add_out[l]);
 }
@@ -75,12 +76,12 @@ void bitsliced_compare_slice(
 namespace {
 
 /// Unpack the low n bits of x into n 1-bit tree-add operands.
-void popcount_operands(std::uint64_t x, unsigned n,
-                       std::vector<std::uint64_t>& values,
-                       std::vector<unsigned>& widths) {
-  values.resize(n);
-  widths.assign(n, 1u);
-  for (unsigned i = 0; i < n; ++i) values[i] = bit(x, i);
+void popcount_operands(std::uint64_t x, unsigned n, std::uint64_t values[],
+                       unsigned widths[]) {
+  for (unsigned i = 0; i < n; ++i) {
+    values[i] = bit(x, i);
+    widths[i] = 1;
+  }
 }
 
 }  // namespace
@@ -88,20 +89,22 @@ void popcount_operands(std::uint64_t x, unsigned n,
 AddOutcome fast_popcount(std::uint64_t x, unsigned n,
                          const device::EnergyModel& em) {
   assert(n >= 1 && n <= 64);
-  std::vector<std::uint64_t> values;
-  std::vector<unsigned> widths;
-  popcount_operands(x & low_mask(n), n, values, widths);
-  return fast_tree_add(values, widths, popcount_width_cap(n), em);
+  std::uint64_t values[64] = {};
+  unsigned widths[64] = {};
+  popcount_operands(x, n, values, widths);
+  return fast_tree_add(std::span(values, n), std::span(widths, n),
+                       popcount_width_cap(n), em);
 }
 
 InMemoryResult inmemory_popcount(std::uint64_t x, unsigned n,
                                  const device::EnergyModel& em,
                                  magic::Tracer* tracer) {
   assert(n >= 1 && n <= 64);
-  std::vector<std::uint64_t> values;
-  std::vector<unsigned> widths;
-  popcount_operands(x & low_mask(n), n, values, widths);
-  return inmemory_tree_add(values, widths, popcount_width_cap(n), em, tracer);
+  std::uint64_t values[64] = {};
+  unsigned widths[64] = {};
+  popcount_operands(x, n, values, widths);
+  return inmemory_tree_add(std::span(values, n), std::span(widths, n),
+                           popcount_width_cap(n), em, tracer);
 }
 
 }  // namespace apim::arith

@@ -10,10 +10,11 @@
 // step when the 12 evaluations run bit-parallel.
 //
 // This table is the single source of truth for that schedule: the bit-level
-// engine adder (src/arith/inmemory_adder.*) executes it on crossbar cells
-// and the word-level fast model (src/arith/word_fa.*) evaluates it on
-// 64-bit words. Property tests assert the two agree on values, cycles and
-// energy, so the schedule cannot drift between the two simulation levels.
+// engine (src/arith/inmemory_fa.*) executes it on crossbar cells, and the
+// word-level models (src/arith/word_models.*) derive their per-triple
+// energy table from its per-step events and mirror it in the unrolled
+// word_fa_stage. Property tests assert the levels agree on values, cycles
+// and energy, so the schedule cannot drift between them.
 #pragma once
 
 #include <array>

@@ -91,6 +91,104 @@ TEST(WordFaStage, EnergyScalesWithWidth) {
   EXPECT_GT(wide.nor_energy_pj, narrow.nor_energy_pj);
 }
 
+// The default price list plus two perturbed ones, each price moved by a
+// different factor, so a table built from the wrong event counts or summed
+// in another order would show in the low bits.
+std::vector<device::EnergyModel> price_lists() {
+  const device::EnergyModel base = device::EnergyModel::paper_defaults();
+  device::EnergyModel up = base;
+  up.e_input_on_pj *= 1.37;
+  up.e_input_off_pj *= 0.61;
+  up.e_switch_pj *= 2.3;
+  up.e_init_pj *= 1.11;
+  up.e_maj_pj *= 0.77;
+  up.e_write_driver_pj *= 1.9;
+  device::EnergyModel flat = base;
+  flat.e_input_on_pj = 0.1;
+  flat.e_input_off_pj = 0.3;
+  flat.e_switch_pj = 0.7;
+  flat.e_init_pj = 1.3;
+  flat.e_maj_pj = 0.01;
+  flat.e_write_driver_pj = 0.2;
+  return {base, up, flat};
+}
+
+TEST(FaTable, MatchesWordFaBitForEveryTriple) {
+  for (const device::EnergyModel& em : price_lists()) {
+    const FaTable& tab = fa_table(em);
+    for (unsigned v = 0; v < 8; ++v) {
+      const std::uint64_t a = v & 1, b = (v >> 1) & 1, c = (v >> 2) & 1;
+      const FaBitResult r = word_fa_bit(a, b, c, em);
+      const unsigned t = fa_index(a, b, c);
+      EXPECT_EQ(tab.nor[t], r.nor_energy_pj) << "abc=" << v;
+      EXPECT_EQ(tab.fin[t], 12.0 * em.e_init_pj + r.nor_energy_pj)
+          << "abc=" << v;
+    }
+    EXPECT_EQ(tab.relax[0], em.e_maj_pj + em.write_energy_pj(false));
+    EXPECT_EQ(tab.relax[1], em.e_maj_pj + em.write_energy_pj(true));
+  }
+}
+
+TEST(FaTable, FollowsTheModelAcrossCalls) {
+  const std::vector<device::EnergyModel> models = price_lists();
+  // Alternate models on one thread: the memo must never serve a stale one.
+  for (int round = 0; round < 2; ++round) {
+    for (const device::EnergyModel& em : models) {
+      const FaTable& tab = fa_table(em);
+      EXPECT_EQ(tab.nor[7], word_fa_bit(1, 1, 1, em).nor_energy_pj);
+      EXPECT_EQ(tab.relax[1], em.e_maj_pj + em.write_energy_pj(true));
+    }
+  }
+}
+
+/// kFaSchedule walked over a word of lanes, one step at a time — the
+/// reference the unrolled word_fa_stage must reproduce.
+FaWordResult walk_schedule(std::uint64_t a, std::uint64_t b, std::uint64_t c,
+                           unsigned width, const device::EnergyModel& em) {
+  const std::uint64_t mask = util::low_mask(width);
+  std::array<std::uint64_t, kFaSlotCount> slot{};
+  slot[kSlotA] = a & mask;
+  slot[kSlotB] = b & mask;
+  slot[kSlotC] = c & mask;
+  FaWordResult out;
+  for (const FaStep& step : kFaSchedule) {
+    std::uint64_t any = 0;
+    int ones = 0;
+    for (unsigned i = 0; i < step.arity; ++i) {
+      any |= slot[step.inputs[i]];
+      ones += util::popcount(slot[step.inputs[i]]);
+    }
+    const std::uint64_t result = ~any & mask;
+    slot[step.dst] = result;
+    const int total_inputs = static_cast<int>(step.arity * width);
+    const int switches = static_cast<int>(width) - util::popcount(result);
+    out.nor_energy_pj +=
+        static_cast<double>(ones) * em.e_input_on_pj +
+        static_cast<double>(total_inputs - ones) * em.e_input_off_pj +
+        static_cast<double>(switches) * em.e_switch_pj;
+  }
+  out.sum = slot[kSlotS];
+  out.carry = slot[kSlotCout] << 1;
+  return out;
+}
+
+TEST(WordFaStage, UnrolledMatchesScheduleWalkAtEveryWidth) {
+  util::Xoshiro256 rng(1213);
+  for (const device::EnergyModel& em : price_lists()) {
+    for (unsigned width = 1; width <= 64; ++width) {
+      for (int trial = 0; trial < 8; ++trial) {
+        // Unmasked words: bits above `width` must be ignored.
+        const std::uint64_t a = rng.next(), b = rng.next(), c = rng.next();
+        const FaWordResult ref = walk_schedule(a, b, c, width, em);
+        const FaWordResult got = word_fa_stage(a, b, c, width, em);
+        EXPECT_EQ(got.sum, ref.sum) << "width " << width;
+        EXPECT_EQ(got.carry, ref.carry) << "width " << width;
+        EXPECT_EQ(got.nor_energy_pj, ref.nor_energy_pj) << "width " << width;
+      }
+    }
+  }
+}
+
 // Cell-level lane execution must reproduce the same truth table.
 TEST(FaLane, SerialLaneTruthTableOnCells) {
   const auto& em = device::EnergyModel::paper_defaults();
