@@ -114,6 +114,15 @@ void finish_trace_capture(const std::string& path,
 /// line and warns (without failing) when the file cannot be written.
 void write_json_report(const std::string& path, const util::JsonValue& report);
 
+/// Host seconds of one run of a fixed reference kernel (about 16 ms on a
+/// 4-vCPU 2.0 GHz Xeon VM): a loop that walks a 12-step NOR-gate schedule
+/// per bit with floating-point energy sums, shaped like the simulator's
+/// word-level arithmetic but calling none of it, so a change to src/ cannot
+/// move it. The same loop as perfbench's reference unit. Shared and slower
+/// hosts slow it with the simulator, so host throughput divided by it
+/// (ops per reference run) holds still across host speed.
+[[nodiscard]] double reference_unit_s();
+
 /// Number of 32-bit elements in a dataset of `bytes` bytes.
 [[nodiscard]] inline double elements_in(double bytes) { return bytes / 4.0; }
 

@@ -66,6 +66,8 @@ struct EnergyModel {
   /// (RON = 10 kOhm, ROFF = 10 MOhm, calibrated 1 ns-class switching),
   /// default operating point and periphery.
   [[nodiscard]] static const EnergyModel& paper_defaults();
+
+  friend bool operator==(const EnergyModel&, const EnergyModel&) = default;
 };
 
 }  // namespace apim::device
