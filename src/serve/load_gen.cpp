@@ -48,4 +48,50 @@ std::vector<Request> make_open_loop_trace(const LoadGenConfig& cfg) {
   return trace;
 }
 
+std::vector<Response> run_closed_loop(
+    Server& server, std::size_t clients, std::size_t requests_per_client,
+    util::Cycles think_cycles,
+    const std::function<Request(std::size_t, std::size_t)>& make_request) {
+  struct Client {
+    std::uint64_t id = 0;  ///< The client's outstanding request.
+    std::size_t index = 0;
+    bool done = false;
+  };
+  std::vector<std::uint64_t> ids;
+  ids.reserve(clients * requests_per_client);
+  const auto stage = [&](std::size_t client, std::size_t index,
+                         util::Cycles arrival) {
+    Request r = make_request(client, index);
+    r.arrival = arrival;
+    ids.push_back(server.stage_request(std::move(r)));
+    return Client{ids.back(), index};
+  };
+
+  std::vector<Client> live;
+  if (requests_per_client > 0) {
+    live.reserve(clients);
+    for (std::size_t c = 0; c < clients; ++c)
+      live.push_back(stage(c, 0, server.virtual_now()));
+  }
+  while (const auto t = server.next_event_at()) {
+    server.step_until(*t);
+    for (std::size_t c = 0; c < live.size(); ++c) {
+      Client& client = live[c];
+      if (client.done) continue;
+      const Response& r = server.response(client.id);
+      if (r.status == RequestStatus::kPending) continue;
+      if (client.index + 1 < requests_per_client) {
+        client = stage(c, client.index + 1, r.completion + think_cycles);
+      } else {
+        client.done = true;
+      }
+    }
+  }
+
+  std::vector<Response> responses;
+  responses.reserve(ids.size());
+  for (const std::uint64_t id : ids) responses.push_back(server.response(id));
+  return responses;
+}
+
 }  // namespace apim::serve

@@ -1,11 +1,10 @@
 // Serving metrics: counters, distributions and a consistent snapshot.
 //
 // The scheduler records everything in SIMULATED cycles (the served chip's
-// clock). Metrics is thread-safe so the async server's callers can
-// snapshot while the scheduler thread is serving; a snapshot is taken
-// under the same lock the recorders use, so its counts are mutually
-// consistent (completed + rejected + expired + invalid never exceeds
-// submitted, latency sample count equals completed, and so on).
+// clock). Metrics is thread-safe: a snapshot is taken under the same lock
+// the recorders use, so its counts are mutually consistent even when
+// another thread reads it (completed + rejected + expired + invalid never
+// exceeds submitted, latency sample count equals completed, and so on).
 #pragma once
 
 #include <cstddef>

@@ -59,8 +59,7 @@ struct Request {
   /// the host-exact golden results on completion; a miss escalates the
   /// app to exact mode when the server is configured to.
   quality::QosSpec qos = quality::QosSpec::numeric();
-  /// Simulated arrival time (open-loop traces set this; the async server
-  /// stamps it at admission).
+  /// Simulated arrival time: when the request enters admission.
   util::Cycles arrival = 0;
   /// Relative deadline in cycles from arrival; 0 = none. A request not
   /// DISPATCHED by arrival + deadline expires without executing.
