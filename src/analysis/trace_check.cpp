@@ -526,7 +526,11 @@ class Checker {
         r.width = e.width;
         r.relax = e.relax;
         r.policy = e.policy;
-        if (e.capacity != 0 && e.queue_depth > e.capacity) {
+        if (e.capacity == 0) {
+          error("admission-bound", idx_,
+                "admit carries no effective capacity (cap=0)",
+                "every admission is bounded by a capacity of at least 1");
+        } else if (e.queue_depth > e.capacity) {
           std::ostringstream os;
           os << "admission to depth " << e.queue_depth
              << " exceeds the effective capacity " << e.capacity;

@@ -30,8 +30,9 @@
 //                        batch's (op, width, relax, policy) must match
 //                        every member's admitted shape (escalation resets
 //                        a member's relax; the verifier tracks it).
-//   admission-bound      An admit event must respect the effective queue
-//                        capacity it reports (depth <= capacity).
+//   admission-bound      An admit event must report an effective queue
+//                        capacity of at least 1 and respect it
+//                        (depth <= capacity).
 //   drr-credit           The deficit round-robin credit ledger balances:
 //                        grants credit quantum x weight, spends never
 //                        exceed the balance, refunds restore it, and each

@@ -1,9 +1,11 @@
 #include "serve/trace.hpp"
 
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 #include <string_view>
+#include <system_error>
+#include <type_traits>
 
 namespace apim::serve::trace {
 
@@ -81,16 +83,32 @@ bool next_token(std::string_view& rest, Token* out) {
   return true;
 }
 
-std::uint64_t parse_u64(std::string_view v) {
-  return std::strtoull(std::string(v).c_str(), nullptr, 10);
+/// Strict numeric read into the destination field's own type. Fails on an
+/// empty value, trailing characters, a sign on an unsigned field, and any
+/// value outside the field's range; flags take exactly 0 or 1.
+template <class T>
+bool read(std::string_view v, T* out) {
+  if constexpr (std::is_same_v<T, bool>) {
+    if (v != "0" && v != "1") return false;
+    *out = v == "1";
+    return true;
+  } else {
+    const char* end = v.data() + v.size();
+    const auto [ptr, ec] = std::from_chars(v.data(), end, *out);
+    return ec == std::errc{} && ptr == end;
+  }
 }
 
-std::int64_t parse_i64(std::string_view v) {
-  return std::strtoll(std::string(v).c_str(), nullptr, 10);
-}
-
-double parse_double(std::string_view v) {
-  return std::strtod(std::string(v).c_str(), nullptr);
+/// Comma-separated request ids; every item must be a valid id.
+bool read_members(std::string_view v, std::vector<std::uint64_t>* out) {
+  for (;;) {
+    const std::size_t comma = v.find(',');
+    std::uint64_t id = 0;
+    if (!read(v.substr(0, comma), &id)) return false;
+    out->push_back(id);
+    if (comma == std::string_view::npos) return true;
+    v.remove_prefix(comma + 1);
+  }
 }
 
 }  // namespace
@@ -189,6 +207,10 @@ bool EventLog::parse(const std::string& text, EventLog* out,
   if (!std::getline(is, line)) return fail("empty document");
   ++line_no;
   if (line != "apim-trace v1") return fail("bad header (want 'apim-trace v1')");
+  const auto bad_value = [&](const Token& t) {
+    return fail("bad value '" + std::string(t.value) + "' for key '" +
+                std::string(t.key) + "'");
+  };
   while (std::getline(is, line)) {
     ++line_no;
     if (line.empty()) continue;
@@ -198,38 +220,36 @@ bool EventLog::parse(const std::string& text, EventLog* out,
     if (tok.key == "meta") {
       Meta& m = out->meta;
       while (next_token(rest, &tok)) {
-        if (tok.key == "streams") m.streams = parse_u64(tok.value);
-        else if (tok.key == "lanes") m.lanes = parse_u64(tok.value);
-        else if (tok.key == "queue_capacity")
-          m.queue_capacity = parse_u64(tok.value);
-        else if (tok.key == "fair_share")
-          m.fair_share = parse_u64(tok.value) != 0;
-        else if (tok.key == "quantum") m.quantum_ops = parse_u64(tok.value);
-        else if (tok.key == "default_weight")
-          m.default_weight = parse_u64(tok.value);
-        else if (tok.key == "health") m.health = parse_u64(tok.value) != 0;
-        else if (tok.key == "chips") m.chips = parse_u64(tok.value);
-        else if (tok.key == "shards") m.shards = parse_u64(tok.value);
-        else if (tok.key == "topology")
-          m.topology = static_cast<std::uint8_t>(parse_u64(tok.value));
+        const std::string_view v = tok.value;
+        bool ok = false;
+        if (tok.key == "streams") ok = read(v, &m.streams);
+        else if (tok.key == "lanes") ok = read(v, &m.lanes);
+        else if (tok.key == "queue_capacity") ok = read(v, &m.queue_capacity);
+        else if (tok.key == "fair_share") ok = read(v, &m.fair_share);
+        else if (tok.key == "quantum") ok = read(v, &m.quantum_ops);
+        else if (tok.key == "default_weight") ok = read(v, &m.default_weight);
+        else if (tok.key == "health") ok = read(v, &m.health);
+        else if (tok.key == "chips") ok = read(v, &m.chips);
+        else if (tok.key == "shards") ok = read(v, &m.shards);
+        else if (tok.key == "topology") ok = read(v, &m.topology);
         else if (tok.key == "hop_latency")
-          m.hop_latency_cycles = parse_u64(tok.value);
-        else if (tok.key == "link_bits") m.link_bits = parse_u64(tok.value);
-        else if (tok.key == "pj_per_bit_hop")
-          m.pj_per_bit_hop = parse_double(tok.value);
-        else if (tok.key == "shard_bits") m.shard_bits = parse_u64(tok.value);
-        else if (tok.key == "overflowed")
-          out->overflowed_ = parse_u64(tok.value) != 0;
+          ok = read(v, &m.hop_latency_cycles);
+        else if (tok.key == "link_bits") ok = read(v, &m.link_bits);
+        else if (tok.key == "pj_per_bit_hop") ok = read(v, &m.pj_per_bit_hop);
+        else if (tok.key == "shard_bits") ok = read(v, &m.shard_bits);
+        else if (tok.key == "overflowed") ok = read(v, &out->overflowed_);
         else
           return fail("unknown meta key '" + std::string(tok.key) + "'");
+        if (!ok) return bad_value(tok);
       }
     } else if (tok.key == "weight") {
       std::string app;
       std::uint64_t w = 0;
       while (next_token(rest, &tok)) {
         if (tok.key == "app") app = std::string(tok.value);
-        else if (tok.key == "w") w = parse_u64(tok.value);
-        else
+        else if (tok.key == "w") {
+          if (!read(tok.value, &w)) return bad_value(tok);
+        } else
           return fail("unknown weight key '" + std::string(tok.key) + "'");
       }
       if (app.empty()) return fail("weight record without app");
@@ -238,61 +258,48 @@ bool EventLog::parse(const std::string& text, EventLog* out,
       Event e;
       bool have_kind = false;
       while (next_token(rest, &tok)) {
+        const std::string_view v = tok.value;
+        bool ok = true;
         if (tok.key == "k") {
-          if (!kind_from_string(std::string(tok.value), &e.kind))
-            return fail("unknown event kind '" + std::string(tok.value) + "'");
+          if (!kind_from_string(std::string(v), &e.kind))
+            return fail("unknown event kind '" + std::string(v) + "'");
           have_kind = true;
-        } else if (tok.key == "t") e.at = parse_u64(tok.value);
-        else if (tok.key == "chip")
-          e.chip = static_cast<std::int32_t>(parse_i64(tok.value));
-        else if (tok.key == "req") e.req = parse_i64(tok.value);
-        else if (tok.key == "app") e.app = std::string(tok.value);
-        else if (tok.key == "domain") e.domain = parse_i64(tok.value);
-        else if (tok.key == "op")
-          e.op = static_cast<std::uint8_t>(parse_u64(tok.value));
-        else if (tok.key == "width")
-          e.width = static_cast<unsigned>(parse_u64(tok.value));
-        else if (tok.key == "relax")
-          e.relax = static_cast<unsigned>(parse_u64(tok.value));
-        else if (tok.key == "policy")
-          e.policy = static_cast<std::uint8_t>(parse_u64(tok.value));
-        else if (tok.key == "ops") e.ops = parse_u64(tok.value);
-        else if (tok.key == "members") {
-          std::string_view v = tok.value;
-          while (!v.empty()) {
-            const std::size_t comma = v.find(',');
-            const std::string_view item =
-                comma == std::string_view::npos ? v : v.substr(0, comma);
-            e.members.push_back(parse_u64(item));
-            v.remove_prefix(comma == std::string_view::npos ? v.size()
-                                                            : comma + 1);
-          }
-        } else if (tok.key == "amount") e.amount = parse_u64(tok.value);
-        else if (tok.key == "deficit") e.deficit_after = parse_u64(tok.value);
-        else if (tok.key == "idle") e.idle_reset = parse_u64(tok.value) != 0;
-        else if (tok.key == "depth") e.queue_depth = parse_u64(tok.value);
-        else if (tok.key == "cap") e.capacity = parse_u64(tok.value);
-        else if (tok.key == "state_from")
-          e.state_from = static_cast<std::uint8_t>(parse_u64(tok.value));
-        else if (tok.key == "state_to")
-          e.state_to = static_cast<std::uint8_t>(parse_u64(tok.value));
-        else if (tok.key == "dead") e.dead = parse_u64(tok.value) != 0;
-        else if (tok.key == "clean") e.clean = parse_u64(tok.value) != 0;
-        else if (tok.key == "offline") e.offline = parse_u64(tok.value) != 0;
-        else if (tok.key == "stuck") e.stuck = parse_u64(tok.value);
-        else if (tok.key == "repaired") e.repaired = parse_u64(tok.value);
-        else if (tok.key == "det") e.detections = parse_u64(tok.value);
-        else if (tok.key == "esc") e.escalations = parse_u64(tok.value);
-        else if (tok.key == "scrub") e.scrub = parse_u64(tok.value) != 0;
-        else if (tok.key == "from") e.from = parse_i64(tok.value);
-        else if (tok.key == "to") e.to = parse_i64(tok.value);
-        else if (tok.key == "hops") e.hops = parse_u64(tok.value);
-        else if (tok.key == "bits") e.bits = parse_u64(tok.value);
-        else if (tok.key == "cycles") e.cycles = parse_u64(tok.value);
-        else if (tok.key == "pj") e.energy_pj = parse_double(tok.value);
-        else if (tok.key == "shard") e.shard = parse_i64(tok.value);
+        } else if (tok.key == "app") e.app = std::string(v);
+        else if (tok.key == "members") ok = read_members(v, &e.members);
+        else if (tok.key == "t") ok = read(v, &e.at);
+        else if (tok.key == "chip") ok = read(v, &e.chip);
+        else if (tok.key == "req") ok = read(v, &e.req);
+        else if (tok.key == "domain") ok = read(v, &e.domain);
+        else if (tok.key == "op") ok = read(v, &e.op);
+        else if (tok.key == "width") ok = read(v, &e.width);
+        else if (tok.key == "relax") ok = read(v, &e.relax);
+        else if (tok.key == "policy") ok = read(v, &e.policy);
+        else if (tok.key == "ops") ok = read(v, &e.ops);
+        else if (tok.key == "amount") ok = read(v, &e.amount);
+        else if (tok.key == "deficit") ok = read(v, &e.deficit_after);
+        else if (tok.key == "idle") ok = read(v, &e.idle_reset);
+        else if (tok.key == "depth") ok = read(v, &e.queue_depth);
+        else if (tok.key == "cap") ok = read(v, &e.capacity);
+        else if (tok.key == "state_from") ok = read(v, &e.state_from);
+        else if (tok.key == "state_to") ok = read(v, &e.state_to);
+        else if (tok.key == "dead") ok = read(v, &e.dead);
+        else if (tok.key == "clean") ok = read(v, &e.clean);
+        else if (tok.key == "offline") ok = read(v, &e.offline);
+        else if (tok.key == "stuck") ok = read(v, &e.stuck);
+        else if (tok.key == "repaired") ok = read(v, &e.repaired);
+        else if (tok.key == "det") ok = read(v, &e.detections);
+        else if (tok.key == "esc") ok = read(v, &e.escalations);
+        else if (tok.key == "scrub") ok = read(v, &e.scrub);
+        else if (tok.key == "from") ok = read(v, &e.from);
+        else if (tok.key == "to") ok = read(v, &e.to);
+        else if (tok.key == "hops") ok = read(v, &e.hops);
+        else if (tok.key == "bits") ok = read(v, &e.bits);
+        else if (tok.key == "cycles") ok = read(v, &e.cycles);
+        else if (tok.key == "pj") ok = read(v, &e.energy_pj);
+        else if (tok.key == "shard") ok = read(v, &e.shard);
         else
           return fail("unknown event key '" + std::string(tok.key) + "'");
+        if (!ok) return bad_value(tok);
       }
       if (!have_kind) return fail("event record without kind");
       out->events_.push_back(std::move(e));

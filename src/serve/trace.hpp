@@ -11,9 +11,9 @@
 //
 // Tracing is strictly observational: with `trace == nullptr` (the default)
 // no event is constructed and every run is bit-identical to an untraced one.
-// The log is not synchronized; attach it only to the deterministic
-// virtual-time entry points (`run_trace`, `run_closed_loop`, the stepping
-// API), where all emissions happen on one thread.
+// The log is not synchronized: every emission happens on the thread that
+// advances the engine (`Server::step_until`, which `run_trace` and
+// `run_closed_loop` loop over).
 #pragma once
 
 #include <cstddef>
@@ -81,7 +81,7 @@ struct Event {
   bool idle_reset = false;  ///< Spend emptied the queue: deficit forfeited.
   // Admission bound (admit).
   std::uint64_t queue_depth = 0;  ///< Depth including this request.
-  std::uint64_t capacity = 0;     ///< Effective bound; 0 = unbounded.
+  std::uint64_t capacity = 0;     ///< Effective bound (>= 1 on an admit).
   // Health FSM (health / scrub / dispatch bookkeeping).
   std::uint8_t state_from = 0;  ///< serve::health::DomainState.
   std::uint8_t state_to = 0;

@@ -320,6 +320,13 @@ TEST(TraceCheckMutation, OverAdmissionBreaksAdmissionBound) {
   expect_rule(log, "admission-bound");
 }
 
+TEST(TraceCheckMutation, UnboundedAdmitBreaksAdmissionBound) {
+  EventLog log = capture_serve(serve_scenario());
+  const std::size_t i = find_kind(log, EventKind::kAdmit);
+  log.events()[i].capacity = 0;  // An admit must carry its bound.
+  expect_rule(log, "admission-bound");
+}
+
 TEST(TraceCheckMutation, BackdatedEventBreaksClockMonotonicity) {
   EventLog log = capture_serve(serve_scenario());
   // Backdate the last dispatch to before the first event on its chip.
@@ -544,6 +551,99 @@ TEST(TraceSerialization, ParseRejectsMalformedDocuments) {
                       &error));
   EXPECT_FALSE(EventLog::parse("apim-trace v1\nevent k=admit t=0 zz=1\n",
                                &out, &error));
+}
+
+/// Lines of an apim-trace document (no trailing newlines).
+std::vector<std::string> split_lines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::size_t start = 0;
+  while (start < text.size()) {
+    const std::size_t end = text.find('\n', start);
+    lines.push_back(text.substr(start, end - start));
+    if (end == std::string::npos) break;
+    start = end + 1;
+  }
+  return lines;
+}
+
+/// `text` with `key`'s value on 1-based line `line_no` set to `value`; the
+/// token is appended when the line does not carry it.
+std::string set_token(const std::string& text, std::size_t line_no,
+                      const std::string& key, const std::string& value) {
+  std::vector<std::string> lines = split_lines(text);
+  std::string& line = lines.at(line_no - 1);
+  const std::size_t at = line.find(" " + key + "=");
+  if (at == std::string::npos) {
+    line += " " + key + "=" + value;
+  } else {
+    const std::size_t begin = at + key.size() + 2;
+    const std::size_t end = line.find(' ', begin);
+    line.replace(begin, end == std::string::npos ? std::string::npos
+                                                 : end - begin,
+                 value);
+  }
+  std::string out;
+  for (const std::string& l : lines) out += l + "\n";
+  return out;
+}
+
+/// 1-based number of the first line starting with `prefix`.
+std::size_t line_starting(const std::string& text, const std::string& prefix) {
+  const std::vector<std::string> lines = split_lines(text);
+  for (std::size_t i = 0; i < lines.size(); ++i)
+    if (lines[i].rfind(prefix, 0) == 0) return i + 1;
+  ADD_FAILURE() << "no line starts with '" << prefix << "'";
+  return 0;
+}
+
+TEST(TraceSerialization, ParseRejectsBadNumericValues) {
+  const std::string text = capture_serve(serve_scenario()).serialize();
+  EventLog out;
+  std::string error;
+  ASSERT_TRUE(EventLog::parse(text, &out, &error)) << error;
+  const std::size_t meta = line_starting(text, "meta ");
+  const std::size_t weight = line_starting(text, "weight ");
+  const std::size_t admit = line_starting(text, "event k=admit ");
+  const std::size_t dispatch = line_starting(text, "event k=dispatch ");
+  ASSERT_GT(meta * weight * admit * dispatch, 0u);
+
+  struct Case {
+    std::size_t line;
+    std::string key;
+    std::vector<std::string> values;
+  };
+  const std::vector<std::string> all_bad = {"-5", "abc", "1x", "",
+                                            "99999999999999999999"};
+  const std::vector<Case> cases = {
+      // Unsigned keys: a sign, garbage, trailing junk, empty, overflow.
+      {meta, "streams", all_bad},
+      {weight, "w", all_bad},
+      {admit, "t", all_bad},
+      {admit, "width", all_bad},
+      {admit, "cap", all_bad},
+      {dispatch, "members", all_bad},
+      {dispatch, "members", {"1,", ",1", "1,,2", "1,-2"}},
+      // Signed keys take a sign but nothing else malformed.
+      {admit, "req", {"abc", "1x", "", "99999999999999999999"}},
+      {admit, "chip", {"2147483648", "-2147483649"}},  // int32 field.
+      // Narrow fields reject values their type cannot hold.
+      {admit, "width", {"4294967296"}},  // unsigned.
+      {admit, "op", {"256"}},            // uint8_t.
+      {meta, "topology", {"256"}},
+      // Flags are exactly 0 or 1; doubles must parse whole and in range.
+      {meta, "fair_share", {"2", "-1", ""}},
+      {meta, "pj_per_bit_hop", {"abc", "1x", "", "1e999"}},
+  };
+  for (const Case& c : cases) {
+    for (const std::string& v : c.values) {
+      const std::string doc = set_token(text, c.line, c.key, v);
+      error.clear();
+      EXPECT_FALSE(EventLog::parse(doc, &out, &error))
+          << c.key << "='" << v << "' parsed";
+      EXPECT_EQ(error.rfind("line " + std::to_string(c.line) + ": ", 0), 0u)
+          << c.key << "='" << v << "': " << error;
+    }
+  }
 }
 
 }  // namespace
