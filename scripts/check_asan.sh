@@ -4,7 +4,9 @@
 #
 # Configures a dedicated build tree with -DAPIM_SANITIZE=address (or
 # undefined), builds everything, and runs the full test suite under the
-# sanitizer. Exits nonzero on any sanitizer report or test failure.
+# sanitizer. The RelWithDebInfo flags are overridden to drop -DNDEBUG, so
+# every assert in src/ runs under the sanitizer too. Exits nonzero on any
+# sanitizer report, failed assert or test failure.
 #
 # Usage: scripts/check_asan.sh [build-dir] [address|undefined]
 #   (defaults: build-asan, address)
@@ -16,6 +18,7 @@ SANITIZER="${2:-address}"
 
 cmake -B "$BUILD_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O1 -g" \
   -DAPIM_SANITIZE="$SANITIZER"
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 

@@ -4,7 +4,9 @@
 # Configures a dedicated build tree with -DAPIM_SANITIZE=thread, builds the
 # concurrency-relevant tests, and runs them under TSan with a multi-worker
 # pool (APIM_THREADS, default 4) so data races in parallel_for users are
-# actually exercised. Exits nonzero on any race report or test failure.
+# actually exercised. As in scripts/check_asan.sh, -DNDEBUG is dropped from
+# the RelWithDebInfo flags so asserts stay on. Exits nonzero on any race
+# report, failed assert or test failure.
 #
 # Usage: scripts/check_tsan.sh [build-dir]   (default: build-tsan)
 set -euo pipefail
@@ -15,6 +17,7 @@ export APIM_THREADS="${APIM_THREADS:-4}"
 
 cmake -B "$BUILD_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O1 -g" \
   -DAPIM_SANITIZE=thread
 
 # serve_fairness_test's Serve* suites (DRR unit tests, randomized

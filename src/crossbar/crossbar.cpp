@@ -5,12 +5,21 @@
 
 namespace apim::crossbar {
 
-BlockedCrossbar::BlockedCrossbar(CrossbarConfig config)
-    : config_(config),
-      row_decoder_(config.rows),
-      col_decoder_(config.cols) {
-  if (config_.blocks == 0 || config_.rows == 0 || config_.cols == 0)
+namespace {
+
+/// Throws before any member is built: the decoders assert a nonzero size.
+CrossbarConfig validated(CrossbarConfig config) {
+  if (config.blocks == 0 || config.rows == 0 || config.cols == 0)
     throw std::invalid_argument("BlockedCrossbar: empty geometry");
+  return config;
+}
+
+}  // namespace
+
+BlockedCrossbar::BlockedCrossbar(CrossbarConfig config)
+    : config_(validated(config)),
+      row_decoder_(config_.rows),
+      col_decoder_(config_.cols) {
   blocks_.reserve(config_.blocks);
   // Spare rows are physically real cells appended past the addressable
   // rows; only remap_row can route accesses into them.
