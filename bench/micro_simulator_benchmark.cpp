@@ -7,15 +7,16 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
-#include "arith/batch.hpp"
 #include "arith/bitsliced.hpp"
 #include "arith/fast_units.hpp"
 #include "arith/inmemory_units.hpp"
 #include "arith/word_models.hpp"
 #include "core/apim.hpp"
+#include "serve/executor.hpp"
 #include "util/bitops.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -73,12 +74,12 @@ void BM_WordSerialAdd(benchmark::State& state) {
 }
 BENCHMARK(BM_WordSerialAdd);
 
-// Host-side scaling of the batched multiply path over the thread pool.
-// Arg = thread count. The products/cycles/energy are bit-identical across
-// all Args (tests/parallel_exec_test.cpp asserts this); only wall-clock
-// time changes. On a >= 4-core host Arg(4) should run >= 2x faster than
-// Arg(1) for this 10k-element batch.
-void BM_FastMultiplyBatch10k(benchmark::State& state) {
+// One 10k-multiply dispatch through serve::execute_batch, the batch path
+// serving, cluster and analytics run, on 256 lanes at `backend`. Arg =
+// thread count; the values, cycles and energy are bit-identical across all
+// Args and both tiers (tests/parallel_exec_test.cpp asserts this), only
+// wall-clock time changes.
+void run_multiply_batch_10k(benchmark::State& state, core::Backend backend) {
   constexpr std::size_t kBatch = 10000;
   util::Xoshiro256 rng(6);
   std::vector<std::pair<std::uint64_t, std::uint64_t>> ops;
@@ -86,39 +87,32 @@ void BM_FastMultiplyBatch10k(benchmark::State& state) {
   for (std::size_t i = 0; i < kBatch; ++i)
     ops.emplace_back(rng.next() & util::low_mask(32),
                      rng.next() & util::low_mask(32));
+  const std::span<const std::pair<std::uint64_t, std::uint64_t>> member(ops);
+  const serve::BatchKey key{core::OpKind::kMultiply, 32, 0, {}, ""};
+  core::ApimConfig base;
+  base.backend = backend;
   util::set_thread_count(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(arith::fast_multiply_batch(
-        ops, 32, arith::ApproxConfig::exact(), em(), /*lanes=*/256));
+    benchmark::DoNotOptimize(serve::execute_batch(std::span(&member, 1), key,
+                                                  /*lanes=*/256, base));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kBatch));
   util::set_thread_count(0);  // Restore the default for later benchmarks.
 }
+
+// The word tier. On a >= 4-core host Arg(4) should run >= 2x faster than
+// Arg(1).
+void BM_FastMultiplyBatch10k(benchmark::State& state) {
+  run_multiply_batch_10k(state, core::Backend::kFast);
+}
 BENCHMARK(BM_FastMultiplyBatch10k)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
-// The same 10k batch through the bitsliced (tier-3) backend: identical
-// products/cycles/energy, much lower host cost per modeled op. Comparing
-// items_per_second against BM_FastMultiplyBatch10k at the same Arg gives
-// the host-side speedup of bitslicing (the BENCH_*.json trajectory records
-// it as bitsliced_vs_word_host_speedup).
+// The same batch on the bitsliced tier: comparing items_per_second against
+// BM_FastMultiplyBatch10k at the same Arg gives the host-side speedup of
+// bitslicing.
 void BM_BitslicedMultiplyBatch10k(benchmark::State& state) {
-  constexpr std::size_t kBatch = 10000;
-  util::Xoshiro256 rng(6);  // Same stream as the word-level twin.
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> ops;
-  ops.reserve(kBatch);
-  for (std::size_t i = 0; i < kBatch; ++i)
-    ops.emplace_back(rng.next() & util::low_mask(32),
-                     rng.next() & util::low_mask(32));
-  util::set_thread_count(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(arith::fast_multiply_batch(
-        ops, 32, arith::ApproxConfig::exact(), em(), /*lanes=*/256,
-        arith::BatchBackend::kBitsliced));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kBatch));
-  util::set_thread_count(0);
+  run_multiply_batch_10k(state, core::Backend::kBitsliced);
 }
 BENCHMARK(BM_BitslicedMultiplyBatch10k)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 

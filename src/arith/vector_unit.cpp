@@ -1,14 +1,10 @@
 #include "arith/vector_unit.hpp"
 
-#include <array>
+#include <algorithm>
 #include <cassert>
 #include <utility>
 
-#include "arith/bitsliced.hpp"
-#include "arith/fast_units.hpp"
 #include "arith/inmemory_fa.hpp"
-#include "arith/latency_model.hpp"
-#include "arith/word_models.hpp"
 #include "crossbar/crossbar.hpp"
 #include "magic/engine.hpp"
 #include "util/bitops.hpp"
@@ -21,64 +17,10 @@ using crossbar::CellAddr;
 using crossbar::CrossbarConfig;
 
 namespace {
-/// Elements per host-pool chunk for the word-level path. Fixed so the
-/// serial energy merge visits elements in the same order for every thread
-/// count (bit-exact accounting).
-constexpr std::size_t kWordAddGrain = 256;
-
 /// Lanes per crossbar clone for the bit-level path. Each group of lanes
 /// runs the full 12n+1 schedule on its own crossbar; groups are a fixed
 /// partition of the lane index space, independent of the thread count.
 constexpr std::size_t kLaneGroup = 64;
-}  // namespace
-
-VectorAddOutcome fast_vector_add(std::span<const std::uint64_t> a,
-                                 std::span<const std::uint64_t> b, unsigned n,
-                                 const device::EnergyModel& em,
-                                 BatchBackend backend) {
-  assert(a.size() == b.size());
-  VectorAddOutcome out;
-  if (a.empty()) return out;
-  out.cycles = serial_add_cycles(n);  // Shared by every lane.
-
-  std::vector<WordUnitResult> per_lane(a.size());
-  util::ThreadPool::global().parallel_for(
-      0, a.size(), kWordAddGrain, [&](std::size_t lo, std::size_t hi) {
-        if (backend == BatchBackend::kBitsliced) {
-          // Slice boundaries are multiples of kBitsliceLanes inside the
-          // fixed-grain chunk, so per-lane results never depend on the
-          // thread count.
-          for (std::size_t slo = lo; slo < hi; slo += kBitsliceLanes) {
-            const std::size_t m = std::min(kBitsliceLanes, hi - slo);
-            std::array<std::pair<std::uint64_t, std::uint64_t>,
-                       kBitsliceLanes>
-                pairs;
-            std::array<AddOutcome, kBitsliceLanes> outs;
-            for (std::size_t k = 0; k < m; ++k)
-              pairs[k] = {a[slo + k], b[slo + k]};
-            bitsliced_add_slice(std::span(pairs.data(), m), n, /*relax_m=*/0,
-                                em, std::span(outs.data(), m));
-            for (std::size_t k = 0; k < m; ++k)
-              per_lane[slo + k] =
-                  WordUnitResult{outs[k].sum, outs[k].cycles,
-                                 outs[k].energy_ops_pj, outs[k].carry_out};
-          }
-          return;
-        }
-        for (std::size_t k = lo; k < hi; ++k)
-          per_lane[k] = word_serial_add(a[k], b[k], n, em);
-      });
-
-  out.sums.reserve(a.size());
-  for (std::size_t k = 0; k < a.size(); ++k) {
-    out.sums.push_back(per_lane[k].value);
-    out.energy_ops_pj += per_lane[k].energy_ops_pj;  // Energy scales;
-                                                     // cycles do not.
-  }
-  return out;
-}
-
-namespace {
 
 /// Executes lanes [lane_begin, lane_end) of the vector add on a private
 /// crossbar clone — the same layout and schedule as the whole-vector run,

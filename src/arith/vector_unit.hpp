@@ -7,14 +7,15 @@
 // K row groups of one crossbar therefore completes in the SAME 12n+1
 // cycles as a single addition — K times the energy, 1/K the latency per
 // element. This is the intra-tile parallelism underneath the chip model's
-// lane count, demonstrated here at both simulation levels.
+// lane count, demonstrated here on the bit-level engine. Serving charges
+// the same law through LaneModel::kRowParallel (core/op_kernel.hpp,
+// serve::execute_batch); tests/vector_unit_test.cpp checks the two agree.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "arith/batch.hpp"
 #include "device/energy_model.hpp"
 #include "util/units.hpp"
 
@@ -26,16 +27,7 @@ struct VectorAddOutcome {
   double energy_ops_pj = 0.0;       ///< Scales with the count.
 };
 
-/// Word-level model: K exact n-bit additions in one row-parallel pass.
-/// Under BatchBackend::kBitsliced the lanes execute in 64-wide bit-plane
-/// slices (arith/bitsliced.hpp) — sums, cycles and energy stay
-/// bit-identical to the word path for every thread count.
-[[nodiscard]] VectorAddOutcome fast_vector_add(
-    std::span<const std::uint64_t> a, std::span<const std::uint64_t> b,
-    unsigned n, const device::EnergyModel& em,
-    BatchBackend backend = BatchBackend::kWord);
-
-/// Bit-level twin: executes all K ripple adders concurrently (lane
+/// Executes all K ripple adders concurrently on the bit-level engine (lane
 /// bit-steps batched across each lane group per cycle). Lane groups of a
 /// fixed size each run on a private crossbar clone, spread across the
 /// host thread pool; sums, cycles and energy are bit-identical for every

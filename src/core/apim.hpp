@@ -160,9 +160,11 @@ class ApimDevice {
   /// Row-parallel issue window. Operations issued between the snapshot and
   /// `parallel_region_end` are declared to have shared crossbar passes
   /// across `ways` independent lanes (disjoint row groups, same schedule —
-  /// see arith/vector_unit.hpp): the region's LATENCY divides by `ways`
-  /// while its energy stands. The balanced-load idealization is accurate to
-  /// a few percent at realistic batch sizes (tests/batch_test.cpp).
+  /// arith::inmemory_vector_add shows it on the engine): the region's
+  /// LATENCY divides by `ways` while its energy stands. This balanced-load
+  /// idealization is within 5% of the round-robin makespan serving charges
+  /// at 4096 multiplies on 64 lanes
+  /// (ServeExecutor.ImbalanceIsSmallForLargeBatches, tests/serve_test.cpp).
   [[nodiscard]] util::Cycles parallel_region_begin() const noexcept {
     return stats_.cycles;
   }

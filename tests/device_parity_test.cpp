@@ -8,7 +8,8 @@
 // x policy {kOff, kDetectAndRepair with stuck lanes, kTripleVote with
 // stuck lanes}. Each case issues its op kind in two batches, then a short
 // batch of another kind (op indices must continue across calls and
-// kinds), then an empty batch that must be a no-op.
+// kinds), then an empty batch that must be a no-op; off the bit-level
+// tier it then issues one batch of each ragged slice fill {1, 65, 191}.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -185,22 +186,13 @@ std::vector<Case> all_cases() {
 
 class DeviceParity : public ::testing::TestWithParam<Case> {};
 
-TEST_P(DeviceParity, BatchEqualsScalarLoop) {
-  const auto [kind, backend, policy] = GetParam();
-  // Spans several 64-lane slices plus a short tail; the NOR-level engine
-  // stays small.
-  const std::size_t count = backend == Backend::kBitLevel ? 9 : 130;
-  const std::size_t split = backend == Backend::kBitLevel ? 4 : 37;
-  const Kind other = kind == Kind::kMul ? Kind::kAdd : Kind::kMul;
-  const std::vector<Issue> issues = {
-      {kind, 0, split}, {kind, split, count - split}, {other, 0, 9}};
-  const Ops ops = make_ops(count);
-  const ApimConfig cfg = case_config(backend, policy);
-
+/// Runs `issues` over `ops` as batches and as a scalar loop on two fresh
+/// devices of `cfg` and expects identical values, per-op cycles and stats.
+/// Returns the batch device for follow-up checks.
+ApimDevice expect_batch_equals_scalar(const ApimConfig& cfg, const Ops& ops,
+                                      const std::vector<Issue>& issues) {
   ApimDevice scalar{cfg};
   const Trace ref = run_scalar(scalar, ops, issues);
-  if (policy != ReliabilityPolicy::kOff && backend != Backend::kBitLevel)
-    ASSERT_GT(scalar.stats().faults_detected, 0u);  // The table bites.
 
   ApimDevice batch{cfg};
   const Trace got = run_batch(batch, ops, issues);
@@ -210,7 +202,7 @@ TEST_P(DeviceParity, BatchEqualsScalarLoop) {
 
   // Scalar ops on the bitsliced tier run the word models, so the sliced
   // batch must also equal a plain word-model scalar loop.
-  if (backend == Backend::kBitsliced) {
+  if (cfg.backend == Backend::kBitsliced) {
     ApimConfig word_cfg = cfg;
     word_cfg.backend = Backend::kFast;
     ApimDevice word{word_cfg};
@@ -219,11 +211,39 @@ TEST_P(DeviceParity, BatchEqualsScalarLoop) {
     EXPECT_EQ(got.cycles, word_ref.cycles);
     expect_same_stats(batch.stats(), word.stats());
   }
+  return batch;
+}
+
+TEST_P(DeviceParity, BatchEqualsScalarLoop) {
+  const auto [kind, backend, policy] = GetParam();
+  // Spans several 64-lane slices plus a short tail; the NOR-level engine
+  // stays small.
+  const std::size_t count = backend == Backend::kBitLevel ? 9 : 130;
+  const std::size_t split = backend == Backend::kBitLevel ? 4 : 37;
+  const Kind other = kind == Kind::kMul ? Kind::kAdd : Kind::kMul;
+  const ApimConfig cfg = case_config(backend, policy);
+  ApimDevice batch = expect_batch_equals_scalar(
+      cfg, make_ops(count),
+      {{kind, 0, split}, {kind, split, count - split}, {other, 0, 9}});
+  if (policy != ReliabilityPolicy::kOff && backend != Backend::kBitLevel)
+    EXPECT_GT(batch.stats().faults_detected, 0u);  // The table bites.
 
   // An empty batch is a no-op.
   const ExecStats before = batch.stats();
   batch_op(batch, kind, {}, {}, {});
   expect_same_stats(batch.stats(), before);
+
+  // Every slice-fill shape in one batch: a single op, one past a full
+  // slice, and two slices plus a 63-op tail. Without protection the case
+  // also runs relax-only approximation.
+  if (backend == Backend::kBitLevel) return;
+  ApimConfig ragged_cfg = cfg;
+  if (policy == ReliabilityPolicy::kOff)
+    ragged_cfg.approx = arith::ApproxConfig::last_stage(4);
+  for (const std::size_t n : {1u, 65u, 191u}) {
+    SCOPED_TRACE(::testing::Message() << n << " ops");
+    (void)expect_batch_equals_scalar(ragged_cfg, make_ops(n), {{kind, 0, n}});
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllOpKinds, DeviceParity,

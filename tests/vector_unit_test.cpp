@@ -1,16 +1,26 @@
-// Tests of the row-parallel vector adder: K additions at the latency of
-// one, equivalence between simulation levels, and the scaling laws.
+// Tests of row-parallel vector addition: K additions at the latency of one.
+// The bit-level engine (arith::inmemory_vector_add) demonstrates the law
+// on a crossbar; serve::execute_batch charges it to served kVectorAdd
+// batches (LaneModel::kRowParallel). The two must agree on sums, latency
+// and energy, and the scaling laws must hold on the served path.
 #include <gtest/gtest.h>
 
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "arith/latency_model.hpp"
 #include "arith/vector_unit.hpp"
+#include "core/apim.hpp"
+#include "serve/executor.hpp"
 #include "util/bitops.hpp"
 #include "util/rng.hpp"
 
-namespace apim::arith {
+namespace apim {
 namespace {
+
+using arith::serial_add_cycles;
+using arith::VectorAddOutcome;
 
 const device::EnergyModel& em() {
   return device::EnergyModel::paper_defaults();
@@ -27,21 +37,35 @@ random_vectors(std::size_t k, unsigned n, std::uint64_t seed) {
   return {a, b};
 }
 
+/// a[i] + b[i] as one served n-bit kVectorAdd dispatch on a 16-lane stream.
+serve::BatchExecution served_add(const std::vector<std::uint64_t>& a,
+                                 const std::vector<std::uint64_t>& b,
+                                 unsigned n) {
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> ops;
+  for (std::size_t i = 0; i < a.size(); ++i) ops.emplace_back(a[i], b[i]);
+  const std::span<const std::pair<std::uint64_t, std::uint64_t>> member(ops);
+  return serve::execute_batch(
+      std::span(&member, 1),
+      serve::BatchKey{core::OpKind::kVectorAdd, n, 0, {}, ""}, /*lanes=*/16,
+      core::ApimConfig{});
+}
+
 TEST(VectorAdd, SumsAreExact) {
   const auto [a, b] = random_vectors(16, 16, 131);
-  const VectorAddOutcome fast = fast_vector_add(a, b, 16, em());
-  ASSERT_EQ(fast.sums.size(), 16u);
+  const serve::BatchExecution served = served_add(a, b, 16);
+  ASSERT_EQ(served.values[0].size(), 16u);
   for (std::size_t i = 0; i < a.size(); ++i)
-    EXPECT_EQ(fast.sums[i], a[i] + b[i]) << i;
+    EXPECT_EQ(served.values[0][i], a[i] + b[i]) << i;
 }
 
 TEST(VectorAdd, LatencyIsIndependentOfLaneCount) {
   // The headline property: 1, 4 or 32 additions — same 12n+1 cycles.
   for (std::size_t k : {1u, 4u, 32u}) {
     const auto [a, b] = random_vectors(k, 16, 132 + k);
-    const VectorAddOutcome fast = fast_vector_add(a, b, 16, em());
-    EXPECT_EQ(fast.cycles, serial_add_cycles(16)) << "k=" << k;
-    const VectorAddOutcome engine = inmemory_vector_add(a, b, 16, em());
+    const serve::BatchExecution served = served_add(a, b, 16);
+    EXPECT_EQ(served.makespan, serial_add_cycles(16)) << "k=" << k;
+    EXPECT_EQ(served.lanes_used, 1u) << "k=" << k;
+    const VectorAddOutcome engine = arith::inmemory_vector_add(a, b, 16, em());
     EXPECT_EQ(engine.cycles, serial_add_cycles(16)) << "k=" << k;
   }
 }
@@ -49,38 +73,46 @@ TEST(VectorAdd, LatencyIsIndependentOfLaneCount) {
 TEST(VectorAdd, EnergyScalesLinearlyWithLanes) {
   const auto [a1, b1] = random_vectors(4, 16, 133);
   const auto [a2, b2] = random_vectors(8, 16, 133);  // Superset stats-wise.
-  const double e1 = fast_vector_add(a1, b1, 16, em()).energy_ops_pj;
-  const double e2 = fast_vector_add(a2, b2, 16, em()).energy_ops_pj;
+  const double e1 = served_add(a1, b1, 16).stats.energy_ops_pj;
+  const double e2 = served_add(a2, b2, 16).stats.energy_ops_pj;
   EXPECT_NEAR(e2 / e1, 2.0, 0.2);  // Random data: ~2x within noise.
 }
 
 TEST(VectorAdd, EngineMatchesFastModelExactly) {
+  // The served word-tier batch against the crossbar engine: same sums, the
+  // batch's row-parallel makespan is the engine's pass, same energy up to
+  // summation order.
   for (std::size_t k : {1u, 3u, 8u}) {
     const auto [a, b] = random_vectors(k, 12, 134 + k);
-    const VectorAddOutcome fast = fast_vector_add(a, b, 12, em());
-    const VectorAddOutcome engine = inmemory_vector_add(a, b, 12, em());
-    ASSERT_EQ(fast.sums, engine.sums) << "k=" << k;
-    ASSERT_EQ(fast.cycles, engine.cycles);
-    ASSERT_NEAR(fast.energy_ops_pj, engine.energy_ops_pj, 1e-9);
+    const serve::BatchExecution served = served_add(a, b, 12);
+    const VectorAddOutcome engine = arith::inmemory_vector_add(a, b, 12, em());
+    ASSERT_EQ(served.values[0], engine.sums) << "k=" << k;
+    ASSERT_EQ(served.makespan, engine.cycles);
+    ASSERT_NEAR(served.stats.energy_ops_pj, engine.energy_ops_pj, 1e-9);
   }
 }
 
 TEST(VectorAdd, EmptyInput) {
   const std::vector<std::uint64_t> none;
-  const VectorAddOutcome out = fast_vector_add(none, none, 16, em());
-  EXPECT_TRUE(out.sums.empty());
-  EXPECT_EQ(out.cycles, 0u);
+  const serve::BatchExecution served = served_add(none, none, 16);
+  EXPECT_TRUE(served.values[0].empty());
+  EXPECT_EQ(served.makespan, 0u);
+  const VectorAddOutcome engine =
+      arith::inmemory_vector_add(none, none, 16, em());
+  EXPECT_TRUE(engine.sums.empty());
+  EXPECT_EQ(engine.cycles, 0u);
 }
 
 TEST(VectorAdd, ThroughputAdvantageOverSequentialIssue) {
-  // K sequential device adds cost K * (12n+1); the vector unit costs
-  // 12n+1 — the factor the chip model's lanes are built on.
+  // K sequential device adds cost K * (12n+1); the served row-parallel
+  // batch costs 12n+1 — the factor the chip model's lanes are built on.
   const std::size_t k = 16;
   const auto [a, b] = random_vectors(k, 32, 140);
-  const VectorAddOutcome vec = fast_vector_add(a, b, 32, em());
+  const serve::BatchExecution served = served_add(a, b, 32);
   const util::Cycles sequential = k * serial_add_cycles(32);
-  EXPECT_EQ(vec.cycles * k, sequential);
+  EXPECT_EQ(served.total_lane_cycles, sequential);
+  EXPECT_EQ(served.makespan * k, sequential);
 }
 
 }  // namespace
-}  // namespace apim::arith
+}  // namespace apim
