@@ -6,6 +6,7 @@
 #include <optional>
 #include <queue>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -100,8 +101,6 @@ class Engine {
         track_domains_(cfg.health.enabled ||
                        !cfg.health.fault_schedule.empty()),
         monitor_(cfg.health.enabled ? cfg.streams : 0, cfg.health) {
-    assert(cfg_.streams >= 1 && cfg_.lanes_per_stream >= 1);
-    assert(cfg_.queue_capacity >= 1);
     if (track_domains_)
       domain_faults_.assign(cfg_.streams, cfg_.device.reliability.faults);
     if (health_on()) {
@@ -946,8 +945,21 @@ struct Server::Impl {
   Engine engine;
 };
 
+namespace {
+ServerConfig validated(ServerConfig cfg) {
+  if (cfg.streams == 0)
+    throw std::invalid_argument("serve::Server: streams must be >= 1");
+  if (cfg.lanes_per_stream == 0)
+    throw std::invalid_argument("serve::Server: lanes_per_stream must be >= 1");
+  if (cfg.queue_capacity == 0)
+    throw std::invalid_argument("serve::Server: queue_capacity must be >= 1");
+  return cfg;
+}
+}  // namespace
+
 Server::Server(ServerConfig config, QosTable table)
-    : impl_(std::make_unique<Impl>(std::move(config), std::move(table))) {}
+    : impl_(std::make_unique<Impl>(validated(std::move(config)),
+                                   std::move(table))) {}
 
 Server::~Server() = default;
 

@@ -137,6 +137,8 @@ struct ServerConfig {
 
 class Server {
  public:
+  /// Throws std::invalid_argument if `streams`, `lanes_per_stream` or
+  /// `queue_capacity` is 0, in every build type.
   explicit Server(ServerConfig config, QosTable table = {});
   ~Server();
 
