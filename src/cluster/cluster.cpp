@@ -45,7 +45,8 @@ struct Cluster::Impl {
       m.shards = cfg.shards;
       m.topology = cfg.topology == Topology::kStar ? 0 : 1;
       m.hop_latency_cycles = cfg.interconnect.hop_latency_cycles;
-      m.link_bits = cfg.interconnect.link_bits;
+      // The cost law reads a 0-bit link as 1 bit wide (topology.cpp).
+      m.link_bits = std::max<std::size_t>(1, cfg.interconnect.link_bits);
       m.pj_per_bit_hop = cfg.interconnect.pj_per_bit_hop;
       m.shard_bits = cfg.shard_bits;
     }
