@@ -4,6 +4,7 @@
 #include <cassert>
 #include <numeric>
 #include <optional>
+#include <stdexcept>
 #include <utility>
 
 #include "serve/health.hpp"
@@ -20,12 +21,25 @@ std::uint64_t payload_bits(std::size_t ops, unsigned width) {
   return static_cast<std::uint64_t>(ops) * 2u * width;
 }
 
+/// A zero chip or shard count or a 0-bit link describes no cluster: fail
+/// closed instead of running a different one than asked.
+ClusterConfig validated(ClusterConfig cfg) {
+  if (cfg.chips == 0)
+    throw std::invalid_argument("cluster::Cluster: chips must be >= 1");
+  if (cfg.shards == 0)
+    throw std::invalid_argument("cluster::Cluster: shards must be >= 1");
+  if (cfg.interconnect.link_bits == 0)
+    throw std::invalid_argument(
+        "cluster::Cluster: interconnect.link_bits must be >= 1");
+  return cfg;
+}
+
 }  // namespace
 
 ClusterConfig ClusterConfig::from_chip(const core::ApimChip& chip,
                                        std::size_t chips) {
   ClusterConfig cfg;
-  cfg.chips = chips == 0 ? 1 : chips;
+  cfg.chips = chips;
   cfg.server = serve::ServerConfig::from_chip(chip);
   cfg.interconnect = InterconnectConfig::from_chip(chip);
   return cfg;
@@ -33,7 +47,7 @@ ClusterConfig ClusterConfig::from_chip(const core::ApimChip& chip,
 
 struct Cluster::Impl {
   Impl(ClusterConfig c, serve::QosTable t)
-      : cfg(normalize(std::move(c))),
+      : cfg(validated(std::move(c))),
         table(std::move(t)),
         placement(cfg.shards, cfg.chips, cfg.seed, cfg.placement_overrides),
         rebalancer(cfg.shards, cfg.rebalance) {
@@ -45,8 +59,7 @@ struct Cluster::Impl {
       m.shards = cfg.shards;
       m.topology = cfg.topology == Topology::kStar ? 0 : 1;
       m.hop_latency_cycles = cfg.interconnect.hop_latency_cycles;
-      // The cost law reads a 0-bit link as 1 bit wide (topology.cpp).
-      m.link_bits = std::max<std::size_t>(1, cfg.interconnect.link_bits);
+      m.link_bits = cfg.interconnect.link_bits;
       m.pj_per_bit_hop = cfg.interconnect.pj_per_bit_hop;
       m.shard_bits = cfg.shard_bits;
     }
@@ -60,12 +73,6 @@ struct Cluster::Impl {
       sc.trace_chip = static_cast<std::int32_t>(chip);
       servers.push_back(std::make_unique<serve::Server>(sc, table));
     }
-  }
-
-  static ClusterConfig normalize(ClusterConfig c) {
-    if (c.chips == 0) c.chips = 1;
-    if (c.shards == 0) c.shards = 1;
-    return c;
   }
 
   // -- Per-request routing record ------------------------------------------

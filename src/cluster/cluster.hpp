@@ -164,6 +164,8 @@ struct ClusterSnapshot {
 
 class Cluster {
  public:
+  /// Throws std::invalid_argument on zero `chips`, `shards` or
+  /// `interconnect.link_bits`.
   explicit Cluster(ClusterConfig config, serve::QosTable table = {});
   ~Cluster();
 

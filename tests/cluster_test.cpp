@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -30,6 +31,24 @@ class ThreadCountGuard {
  public:
   ~ThreadCountGuard() { util::set_thread_count(0); }
 };
+
+// -- Config contract ---------------------------------------------------------
+
+// A zero in any geometry field is rejected in release builds, like
+// serve::Server's, instead of running some other cluster.
+TEST(ClusterConfig, RejectsZeroGeometry) {
+  cluster::ClusterConfig cfg;
+  cfg.chips = 0;
+  EXPECT_THROW(cluster::Cluster{cfg}, std::invalid_argument);
+  cfg = {};
+  cfg.shards = 0;
+  EXPECT_THROW(cluster::Cluster{cfg}, std::invalid_argument);
+  cfg = {};
+  cfg.interconnect.link_bits = 0;
+  EXPECT_THROW(cluster::Cluster{cfg}, std::invalid_argument);
+  cfg = {};
+  EXPECT_NO_THROW(cluster::Cluster{cfg});
+}
 
 // -- Topology cost model -----------------------------------------------------
 

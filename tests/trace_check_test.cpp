@@ -221,18 +221,6 @@ TEST(TraceCheck, CleanClusterTraceVerifies) {
   EXPECT_TRUE(r.empty()) << r.format();
 }
 
-TEST(TraceCheck, ZeroWidthLinkClusterTraceVerifies) {
-  // The cost law reads a 0-bit link as 1 bit wide; the header says so.
-  auto log = std::make_unique<EventLog>();
-  ClusterScenario cs = cluster_scenario();
-  cs.cluster.interconnect.link_bits = 0;
-  cs.cluster.trace = log.get();
-  (void)cluster_harness::run_cluster_scenario(cs);
-  EXPECT_EQ(log->meta.link_bits, 1u);
-  EXPECT_GT(count_kind(*log, EventKind::kForward), 0u);
-  EXPECT_EQ(analysis::verify_trace(*log), "");
-}
-
 // Attaching the event stream must not perturb the engine: every response
 // byte and every snapshot-visible statistic is identical with and without
 // the log (tracing is strictly observational).
