@@ -37,8 +37,8 @@ int main() {
   for (unsigned n = 4; n <= 32; n += 4) {
     const std::uint64_t a = rng.next() & util::low_mask(n);
     const std::uint64_t b = rng.next() & util::low_mask(n);
-    const arith::InMemoryResult magic_r = arith::inmemory_serial_add(a, b, n, em);
-    const magic::ImplyAddResult imply_r = magic::imply_serial_add(a, b, n, em);
+    const arith::InMemoryResult magic_r = arith::inmemory_serial_add(a, b, n);
+    const magic::ImplyAddResult imply_r = magic::imply_serial_add(a, b, n);
     values_agree &= magic_r.value == imply_r.value &&
                     magic_r.value == a + b;
     const double ratio = static_cast<double>(imply_r.cycles) /
@@ -47,12 +47,12 @@ int main() {
     table.add_row({std::to_string(n), std::to_string(magic_r.cycles),
                    std::to_string(imply_r.cycles),
                    util::format_factor(ratio, 2),
-                   util::format_double(magic_r.energy_ops_pj, 1),
-                   util::format_double(imply_r.energy_ops_pj, 1)});
+                   util::format_double(em.price(magic_r.energy, 0), 1),
+                   util::format_double(em.price(imply_r.energy, 0), 1)});
     csv.write_row({std::to_string(n), std::to_string(magic_r.cycles),
                    std::to_string(imply_r.cycles),
-                   util::format_double(magic_r.energy_ops_pj, 2),
-                   util::format_double(imply_r.energy_ops_pj, 2)});
+                   util::format_double(em.price(magic_r.energy, 0), 2),
+                   util::format_double(em.price(imply_r.energy, 0), 2)});
   }
   std::fputs(table.render().c_str(), stdout);
 

@@ -40,7 +40,7 @@ Point measure(arith::ApproxConfig cfg, const std::string& label) {
   for (int t = 0; t < kTrials; ++t) {
     const std::uint64_t a = rng.next() & util::low_mask(32);
     const std::uint64_t b = rng.next() & util::low_mask(32);
-    const arith::MultiplyOutcome r = arith::fast_multiply(a, b, 32, cfg, em);
+    const arith::MultiplyOutcome r = arith::fast_multiply(a, b, 32, cfg);
     const std::uint64_t exact = a * b;
     const double err =
         exact == 0 ? 0.0
@@ -48,7 +48,7 @@ Point measure(arith::ApproxConfig cfg, const std::string& label) {
                               static_cast<double>(exact)) /
                          static_cast<double>(exact);
     error.add(err * 100.0);
-    edp.add(util::edp_js(arith::total_energy_pj(r, em), r.cycles));
+    edp.add(util::edp_js(em.price(r.energy, r.cycles), r.cycles));
   }
   return Point{label, error.mean(), edp.mean()};
 }

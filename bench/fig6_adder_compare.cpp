@@ -50,7 +50,7 @@ Row measure(unsigned n) {
 
   Row row;
   row.n = n;
-  const arith::AddOutcome exact = arith::fast_tree_add(values, widths, cap, em);
+  const arith::AddOutcome exact = arith::fast_tree_add(values, widths, cap);
   row.apim_exact = exact.cycles;
 
   // Approximate mode (the paper's "99.9% accuracy" series): tree reduction
@@ -63,7 +63,7 @@ Row measure(unsigned n) {
   // Measure the actual error of the relaxed final add on this data.
   {
     const arith::TreeReduceResult tree =
-        arith::word_tree_reduce(values, widths, cap, em);
+        arith::word_tree_reduce(values, widths, cap);
     const std::uint64_t approx =
         arith::approximate_add_value(tree.x, tree.y, final_width, relax);
     row.apim_error_percent =

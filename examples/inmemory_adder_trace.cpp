@@ -26,13 +26,13 @@ int main() {
   for (unsigned n : {8u, 16u, 32u}) {
     const auto r = arith::inmemory_serial_add(0xA5A5A5A5 & util::mask_n(n),
                                               0x5A5A5A5A & util::mask_n(n),
-                                              n, em);
+                                              n);
     std::printf("serial %2u-bit add: value=%llu  cycles=%llu (formula 12N+1 = "
                 "%llu)  energy=%.2f pJ\n",
                 n, static_cast<unsigned long long>(r.value),
                 static_cast<unsigned long long>(r.cycles),
                 static_cast<unsigned long long>(arith::serial_add_cycles(n)),
-                r.energy_ops_pj);
+                em.price(r.energy, 0));
   }
 
   // Carry-save 3:2 stage: width-independent latency.
@@ -42,7 +42,7 @@ int main() {
     const std::uint64_t a = 0x0F0F0F0Full & mask;
     const std::uint64_t b = 0x33CC33CCull & mask;
     const std::uint64_t c = 0x55AA55AAull & mask;
-    const auto r = arith::inmemory_csa(a, b, c, width, em);
+    const auto r = arith::inmemory_csa(a, b, c, width);
     std::printf("CSA %2u-bit 3:2 stage: sum+carry preserved=%s  cycles=%llu "
                 "(always 13)\n",
                 width, (r.sum + r.carry) == a + b + c ? "yes" : "NO",
@@ -58,7 +58,7 @@ int main() {
     nine[i] = 0x1111 * (i + 1) & 0xFFFF;
     total += nine[i];
   }
-  const auto tree = arith::inmemory_tree_add(nine, widths, 20, em);
+  const auto tree = arith::inmemory_tree_add(nine, widths, 20);
   std::printf("9 x 16-bit tree add: value=%llu (expected %llu)  cycles=%llu "
               "(4 stages x 13 + serial tail)\n",
               static_cast<unsigned long long>(tree.value),
@@ -68,7 +68,7 @@ int main() {
   // Relaxed final addition at several k/m splits.
   std::puts("");
   for (unsigned m : {0u, 8u, 16u, 32u}) {
-    const auto r = arith::inmemory_relaxed_add(0xDEAD1234, 0xBEEF5678, 32, m, em);
+    const auto r = arith::inmemory_relaxed_add(0xDEAD1234, 0xBEEF5678, 32, m);
     std::printf("relaxed 32-bit add m=%2u: value=%llu  cycles=%llu (formula "
                 "13k+2m+1 = %llu)\n",
                 m, static_cast<unsigned long long>(r.value),

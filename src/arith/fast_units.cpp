@@ -10,9 +10,7 @@
 namespace apim::arith {
 
 MultiplyOutcome multiply_front(std::uint64_t a, std::uint64_t b, unsigned n,
-                               unsigned mask_bits,
-                               const device::EnergyModel& em,
-                               std::uint64_t* y) {
+                               unsigned mask_bits, std::uint64_t* y) {
   assert(n >= 1 && n <= 32);
   *y = 0;
   a &= util::low_mask(n);
@@ -25,7 +23,9 @@ MultiplyOutcome multiply_front(std::uint64_t a, std::uint64_t b, unsigned n,
   MultiplyOutcome out;
   out.partial_count = static_cast<unsigned>(p);
   out.cycles = ppg_cycles(out.partial_count);
-  out.energy_ops_pj += ppg_energy_pj(n, first_bit, util::popcount(a), p, em);
+  out.energy = ppg_ledger(n, first_bit,
+                          static_cast<unsigned>(util::popcount(a)),
+                          static_cast<unsigned>(p));
   // With no partial product the (pre-cleared) product row already holds
   // the exact result; one partial product IS the product, already sitting
   // in the processing block after the copy-shift.
@@ -51,9 +51,9 @@ MultiplyOutcome multiply_front(std::uint64_t a, std::uint64_t b, unsigned n,
   const auto count = static_cast<std::size_t>(p);
   const TreeReduceResult tree =
       word_tree_reduce(std::span(partials, count), std::span(widths, count),
-                       2 * n, em);
+                       2 * n);
   out.cycles += tree.cycles;
-  out.energy_ops_pj += tree.energy_ops_pj;
+  out.energy += tree.energy;
   out.tree_stages = tree.stages;
   out.product = tree.x;
   *y = tree.y;
@@ -61,18 +61,17 @@ MultiplyOutcome multiply_front(std::uint64_t a, std::uint64_t b, unsigned n,
 }
 
 MultiplyOutcome fast_multiply(std::uint64_t a, std::uint64_t b, unsigned n,
-                              ApproxConfig cfg,
-                              const device::EnergyModel& em) {
+                              ApproxConfig cfg) {
   std::uint64_t y = 0;
-  MultiplyOutcome out = multiply_front(a, b, n, cfg.mask_bits, em, &y);
+  MultiplyOutcome out = multiply_front(a, b, n, cfg.mask_bits, &y);
   if (out.partial_count <= 1) return out;
 
   // Stage 3: final product generation over the full 2N bits.
   const unsigned product_width = 2 * n;
   const WordUnitResult fin = word_final_add(
-      out.product, y, product_width, cfg.effective_relax(product_width), em);
+      out.product, y, product_width, cfg.effective_relax(product_width));
   out.cycles += fin.cycles;
-  out.energy_ops_pj += fin.energy_ops_pj;
+  out.energy += fin.energy;
   // The product of two n-bit numbers fits in 2n bits, so the exact carry
   // out of the final add is zero; in relaxed mode we still truncate to the
   // product width like the hardware's fixed-size product row does.
@@ -81,35 +80,35 @@ MultiplyOutcome fast_multiply(std::uint64_t a, std::uint64_t b, unsigned n,
 }
 
 AddOutcome fast_tree_add(std::span<const std::uint64_t> values,
-                         std::span<const unsigned> widths, unsigned width_cap,
-                         const device::EnergyModel& em) {
+                         std::span<const unsigned> widths,
+                         unsigned width_cap) {
   assert(values.size() == widths.size());
   assert(!values.empty());
-  if (values.size() == 1) return AddOutcome{values[0], 0, 0.0};
+  if (values.size() == 1) return AddOutcome{values[0], 0, {}};
 
   // Stage 1: 3:2 reduction to two survivors (none with two operands).
-  const TreeReduceResult tree = word_tree_reduce(values, widths, width_cap, em);
+  const TreeReduceResult tree = word_tree_reduce(values, widths, width_cap);
   // Stage 2: one serial add of the survivors.
   const WordUnitResult fin = word_serial_add(
-      tree.x, tree.y, std::max(tree.x_width, tree.y_width), em);
+      tree.x, tree.y, std::max(tree.x_width, tree.y_width));
   AddOutcome out;
   out.sum = fin.value;
   out.cycles = tree.cycles + fin.cycles;
-  out.energy_ops_pj = tree.energy_ops_pj;
-  out.energy_ops_pj += fin.energy_ops_pj;
+  out.energy = tree.energy;
+  out.energy += fin.energy;
   out.carry_out = fin.carry_out;
   return out;
 }
 
 AddOutcome fast_add(std::uint64_t a, std::uint64_t b, unsigned n,
-                    unsigned relax_m, const device::EnergyModel& em) {
+                    unsigned relax_m) {
   assert(n >= 1 && n <= 64);
   // The runtime issues whichever adder is faster (latency_model's policy).
   relax_m = profitable_add_relax(n, relax_m);
   const WordUnitResult r = relax_m == 0
-                               ? word_serial_add(a, b, n, em)
-                               : word_final_add(a, b, n, relax_m, em);
-  return AddOutcome{r.value, r.cycles, r.energy_ops_pj, r.carry_out};
+                               ? word_serial_add(a, b, n)
+                               : word_final_add(a, b, n, relax_m);
+  return AddOutcome{r.value, r.cycles, r.energy, r.carry_out};
 }
 
 }  // namespace apim::arith

@@ -1,5 +1,5 @@
 // Composed word-level APIM units: the full multiplier and the standalone
-// adder, with cycle/energy accounting identical to the bit-level engine
+// adder, with cycle and event accounting identical to the bit-level engine
 // (see word_models.hpp for the convention).
 #pragma once
 
@@ -17,7 +17,7 @@ namespace apim::arith {
 struct MultiplyOutcome {
   std::uint64_t product = 0;  ///< 2N-bit product (approximate if configured).
   util::Cycles cycles = 0;
-  double energy_ops_pj = 0.0;
+  device::EnergyLedger energy;
   unsigned partial_count = 0;  ///< Partial products actually generated.
   unsigned tree_stages = 0;    ///< 3:2 reduction stages executed.
 };
@@ -26,11 +26,10 @@ struct MultiplyOutcome {
 /// pipeline: SA-driven partial-product generation, Wallace-tree 3:2
 /// reduction, final product generation with optional relaxation.
 [[nodiscard]] MultiplyOutcome fast_multiply(std::uint64_t a, std::uint64_t b,
-                                            unsigned n, ApproxConfig cfg,
-                                            const device::EnergyModel& em);
+                                            unsigned n, ApproxConfig cfg);
 
 /// The multiplier's first two stages for one operand pair: the PPG cost
-/// (ppg_energy_pj) and, with three or more partial products, their tree
+/// (ppg_ledger) and, with three or more partial products, their tree
 /// reduction (word_tree_reduce). Returns the outcome so far with `product`
 /// holding the first final-add addend (with at most one partial product,
 /// the whole product) and writes the second addend to `*y` (0 with at
@@ -38,7 +37,6 @@ struct MultiplyOutcome {
 /// it; neither allocates.
 [[nodiscard]] MultiplyOutcome multiply_front(std::uint64_t a, std::uint64_t b,
                                              unsigned n, unsigned mask_bits,
-                                             const device::EnergyModel& em,
                                              std::uint64_t* y);
 
 /// Result of a standalone n-bit addition. For n < 64 `sum` is the
@@ -48,7 +46,7 @@ struct MultiplyOutcome {
 struct AddOutcome {
   std::uint64_t sum = 0;  ///< Result; carry in-band at bit n when n < 64.
   util::Cycles cycles = 0;
-  double energy_ops_pj = 0.0;
+  device::EnergyLedger energy;
   bool carry_out = false;  ///< Carry out of bit n-1 (out-of-band copy).
 };
 
@@ -59,8 +57,7 @@ struct AddOutcome {
 /// the adaptive runtime applies it to the application's standalone adds as
 /// well as its multiplies).
 [[nodiscard]] AddOutcome fast_add(std::uint64_t a, std::uint64_t b, unsigned n,
-                                  unsigned relax_m,
-                                  const device::EnergyModel& em);
+                                  unsigned relax_m);
 
 /// Multi-operand addition: Wallace-tree 3:2 reduction followed by one
 /// serial add of the two survivors — the word-level twin of
@@ -68,19 +65,6 @@ struct AddOutcome {
 /// n + ceil(log2(M)) for M n-bit operands).
 [[nodiscard]] AddOutcome fast_tree_add(std::span<const std::uint64_t> values,
                                        std::span<const unsigned> widths,
-                                       unsigned width_cap,
-                                       const device::EnergyModel& em);
-
-/// Total energy (pJ) including per-cycle controller overhead.
-[[nodiscard]] inline double total_energy_pj(const MultiplyOutcome& r,
-                                            const device::EnergyModel& em) {
-  return r.energy_ops_pj +
-         static_cast<double>(r.cycles) * em.e_cycle_overhead_pj;
-}
-[[nodiscard]] inline double total_energy_pj(const AddOutcome& r,
-                                            const device::EnergyModel& em) {
-  return r.energy_ops_pj +
-         static_cast<double>(r.cycles) * em.e_cycle_overhead_pj;
-}
+                                       unsigned width_cap);
 
 }  // namespace apim::arith

@@ -19,26 +19,13 @@ using util::low_mask;
 
 namespace {
 
-/// Captures engine counters so setup (data loading) is excluded from the
-/// reported operation cost.
-class StatsDelta {
- public:
-  explicit StatsDelta(const MagicEngine& engine)
-      : engine_(engine),
-        cycles0_(engine.stats().cycles),
-        energy0_(engine.stats().energy_ops_pj) {}
-
-  [[nodiscard]] InMemoryResult finish(std::uint64_t value,
-                                      bool carry_out = false) const {
-    return InMemoryResult{value, engine_.stats().cycles - cycles0_,
-                          engine_.stats().energy_ops_pj - energy0_, carry_out};
-  }
-
- private:
-  const MagicEngine& engine_;
-  util::Cycles cycles0_;
-  double energy0_;
-};
+/// The engine's counters as the operation's outcome. Operands are loaded
+/// straight into the crossbar (load_word), which charges nothing, so the
+/// counters hold exactly the operation's cost.
+InMemoryResult result_of(const MagicEngine& engine, std::uint64_t value,
+                         bool carry_out = false) {
+  return {value, engine.stats().cycles, engine.stats().energy, carry_out};
+}
 
 /// Value + carry-out pair produced by the raw add helpers; the carry is
 /// kept out-of-band so width 64 never drops it.
@@ -198,34 +185,30 @@ void load_word(BlockedCrossbar& xbar, const CellAddr& start, unsigned width,
 }  // namespace
 
 InMemoryResult inmemory_serial_add(std::uint64_t a, std::uint64_t b,
-                                   unsigned n, const device::EnergyModel& em,
-                                   magic::Tracer* tracer) {
+                                   unsigned n, magic::Tracer* tracer) {
   assert(n >= 1 && n <= 64);
   BlockedCrossbar xbar{CrossbarConfig{2, 16, std::max<std::size_t>(n + 1, 8)}};
-  MagicEngine engine{xbar, em};
+  MagicEngine engine{xbar};
   engine.attach_tracer(tracer);
   load_word(xbar, CellAddr{1, 0, 0}, n, a & low_mask(n));
   load_word(xbar, CellAddr{1, 1, 0}, n, b & low_mask(n));
 
-  const StatsDelta delta{engine};
   const RawAddResult sum =
       run_serial_add(engine, /*block=*/1, /*a_row=*/0, /*b_row=*/1, n,
                      /*scratch_base=*/2);
-  return delta.finish(sum.value, sum.carry_out);
+  return result_of(engine, sum.value, sum.carry_out);
 }
 
 InMemoryResult inmemory_compare(std::uint64_t a, std::uint64_t b, unsigned n,
-                                const device::EnergyModel& em,
                                 magic::Tracer* tracer) {
   assert(n >= 1 && n <= 64);
   // Rows: a (0), b (1), ~b (2), serial-add scratch [3, 15), zero ref (15).
   BlockedCrossbar xbar{CrossbarConfig{2, 16, std::max<std::size_t>(n + 1, 8)}};
-  MagicEngine engine{xbar, em};
+  MagicEngine engine{xbar};
   engine.attach_tracer(tracer);
   load_word(xbar, CellAddr{1, 0, 0}, n, a & low_mask(n));
   load_word(xbar, CellAddr{1, 1, 0}, n, b & low_mask(n));
 
-  const StatsDelta delta{engine};
   // Complement pass: invert the subtrahend into row 2 (init + one
   // row-parallel NOT, same pattern as the multiplier's inverted image but
   // with nothing to overlap the init with).
@@ -245,23 +228,21 @@ InMemoryResult inmemory_compare(std::uint64_t a, std::uint64_t b, unsigned n,
   const RawAddResult sum =
       run_serial_add(engine, /*block=*/1, /*a_row=*/0, /*b_row=*/2, n,
                      /*scratch_base=*/3);
-  return delta.finish(sum.value, sum.carry_out);
+  return result_of(engine, sum.value, sum.carry_out);
 }
 
 CsaOutcome inmemory_csa(std::uint64_t a, std::uint64_t b, std::uint64_t c,
-                        unsigned width, const device::EnergyModel& em,
-                        magic::Tracer* tracer) {
+                        unsigned width, magic::Tracer* tracer) {
   assert(width >= 1 && width <= 63);
   BlockedCrossbar xbar{
       CrossbarConfig{2, 16, std::max<std::size_t>(width + 2, 8)}};
-  MagicEngine engine{xbar, em};
+  MagicEngine engine{xbar};
   engine.attach_tracer(tracer);
   const std::uint64_t mask = low_mask(width);
   load_word(xbar, CellAddr{1, 0, 0}, width, a & mask);
   load_word(xbar, CellAddr{1, 1, 0}, width, b & mask);
   load_word(xbar, CellAddr{1, 2, 0}, width, c & mask);
 
-  const StatsDelta delta{engine};
   std::vector<FaLaneMap> lanes;
   std::vector<CellAddr> init_cells;
   for (unsigned col = 0; col < width; ++col) {
@@ -280,23 +261,21 @@ CsaOutcome inmemory_csa(std::uint64_t a, std::uint64_t b, std::uint64_t c,
     if (xbar.get(lanes[col].cell(kSlotCout)))
       out.carry |= std::uint64_t{1} << (col + 1);
   }
-  const InMemoryResult r = delta.finish(0);
-  out.cycles = r.cycles;
-  out.energy_ops_pj = r.energy_ops_pj;
+  out.cycles = engine.stats().cycles;
+  out.energy = engine.stats().energy;
   return out;
 }
 
 InMemoryResult inmemory_tree_add(std::span<const std::uint64_t> values,
                                  std::span<const unsigned> widths,
                                  unsigned width_cap,
-                                 const device::EnergyModel& em,
                                  magic::Tracer* tracer) {
   assert(values.size() == widths.size());
   assert(!values.empty());
 
   if (values.size() == 1) {
     // Nothing to add; free by convention (the value is already resident).
-    return InMemoryResult{values[0], 0, 0.0};
+    return InMemoryResult{values[0], 0, {}};
   }
 
   const TreePlan plan =
@@ -307,7 +286,7 @@ InMemoryResult inmemory_tree_add(std::span<const std::uint64_t> values,
       std::max(plan.rows_used_block_a, plan.rows_used_block_b) + 16;
   const std::size_t cols = static_cast<std::size_t>(width_cap) + 2;
   BlockedCrossbar xbar{CrossbarConfig{3, rows, cols}};
-  MagicEngine engine{xbar, em};
+  MagicEngine engine{xbar};
   engine.attach_tracer(tracer);
   for (std::size_t i = 0; i < values.size(); ++i) {
     const TreeOperand& op = plan.operands[i];
@@ -315,7 +294,6 @@ InMemoryResult inmemory_tree_add(std::span<const std::uint64_t> values,
               values[i] & low_mask(widths[i]));
   }
 
-  const StatsDelta delta{engine};
   execute_tree_stages(engine, plan);
 
   // Final serial addition of the two survivors (they always share a block:
@@ -328,31 +306,27 @@ InMemoryResult inmemory_tree_add(std::span<const std::uint64_t> values,
       (xo.block == 1 ? plan.rows_used_block_a : plan.rows_used_block_b);
   const RawAddResult sum = run_serial_add(engine, xo.block, xo.row, yo.row,
                                           n_final, scratch_base);
-  return delta.finish(sum.value, sum.carry_out);
+  return result_of(engine, sum.value, sum.carry_out);
 }
 
 InMemoryResult inmemory_relaxed_add(std::uint64_t a, std::uint64_t b,
                                     unsigned n, unsigned relax_m,
-                                    const device::EnergyModel& em,
                                     magic::Tracer* tracer) {
   assert(n >= 1 && n <= 64);
   BlockedCrossbar xbar{CrossbarConfig{2, 20, std::max<std::size_t>(n + 2, 8)}};
-  MagicEngine engine{xbar, em};
+  MagicEngine engine{xbar};
   engine.attach_tracer(tracer);
   load_word(xbar, CellAddr{1, 0, 0}, n, a & low_mask(n));
   load_word(xbar, CellAddr{1, 1, 0}, n, b & low_mask(n));
 
-  const StatsDelta delta{engine};
   const RawAddResult sum = run_final_add(engine, /*block=*/1, /*x_row=*/0,
                                          /*y_row=*/1, n, relax_m,
                                          /*scratch_base=*/2);
-  return delta.finish(sum.value, sum.carry_out);
+  return result_of(engine, sum.value, sum.carry_out);
 }
 
 InMemoryResult inmemory_multiply(std::uint64_t a, std::uint64_t b, unsigned n,
-                                 ApproxConfig cfg,
-                                 const device::EnergyModel& em,
-                                 magic::Tracer* tracer) {
+                                 ApproxConfig cfg, magic::Tracer* tracer) {
   assert(n >= 1 && n <= 32);
   a &= low_mask(n);
   b &= low_mask(n);
@@ -383,14 +357,13 @@ InMemoryResult inmemory_multiply(std::uint64_t a, std::uint64_t b, unsigned n,
       16;
   const std::size_t cols = static_cast<std::size_t>(product_width) + 2;
   BlockedCrossbar xbar{CrossbarConfig{3, rows, cols}};
-  MagicEngine engine{xbar, em};
+  MagicEngine engine{xbar};
   engine.attach_tracer(tracer);
   // Data block (0): multiplicand row 0, multiplier row 1, inverted image
   // row 2.
   load_word(xbar, CellAddr{0, 0, 0}, n, a);
   load_word(xbar, CellAddr{0, 1, 0}, n, b);
 
-  const StatsDelta delta{engine};
 
   // -- Stage 1: partial-product generation (Section 3.3). --
   // Bit-wise SA scan of the unmasked multiplier bits.
@@ -399,7 +372,7 @@ InMemoryResult inmemory_multiply(std::uint64_t a, std::uint64_t b, unsigned n,
     if (engine.read_bit(CellAddr{0, 1, j})) set_bits.push_back(j);
   assert(static_cast<int>(set_bits.size()) == p);
 
-  if (p == 0) return delta.finish(0);  // Zero product: nothing to do.
+  if (p == 0) return result_of(engine, 0);  // Zero product: nothing to do.
 
   // Shared inverted image of the multiplicand (scratch init overlaps the
   // SA scan).
@@ -437,7 +410,7 @@ InMemoryResult inmemory_multiply(std::uint64_t a, std::uint64_t b, unsigned n,
   if (p == 1) {
     const std::uint64_t product =
         engine.peek_word(CellAddr{1, 0, 0}, product_width);
-    return delta.finish(product);
+    return result_of(engine, product);
   }
 
   // -- Stage 2: Wallace-tree reduction (skipped for two partials). --
@@ -468,7 +441,7 @@ InMemoryResult inmemory_multiply(std::uint64_t a, std::uint64_t b, unsigned n,
   // The product of two n-bit numbers fits in 2n bits and the final-add
   // carries are exact even under relaxation, so value.carry_out is always
   // false here; multiplies report no carry by convention.
-  return delta.finish(value.value & low_mask(product_width));
+  return result_of(engine, value.value & low_mask(product_width));
 }
 
 }  // namespace apim::arith

@@ -23,8 +23,8 @@
 
 namespace apim::arith {
 
-/// Measured outcome of one in-memory operation (energy excludes per-cycle
-/// controller overhead, same convention as the word models).
+/// Measured outcome of one in-memory operation: the engine's cycles and
+/// event ledger (same convention as the word models).
 ///
 /// Adders report their carry out of bit n-1 out-of-band in `carry_out`;
 /// for n < 64 it is also folded into `value` at bit n, at n = 64 the
@@ -32,7 +32,7 @@ namespace apim::arith {
 struct InMemoryResult {
   std::uint64_t value = 0;
   util::Cycles cycles = 0;
-  double energy_ops_pj = 0.0;
+  device::EnergyLedger energy;
   bool carry_out = false;  ///< Adder carry out (false for multiplies).
 };
 
@@ -41,7 +41,7 @@ struct InMemoryResult {
 /// bits); at n = 64 the carry is reported only via `carry_out`.
 [[nodiscard]] InMemoryResult inmemory_serial_add(
     std::uint64_t a, std::uint64_t b, unsigned n,
-    const device::EnergyModel& em, magic::Tracer* tracer = nullptr);
+    magic::Tracer* tracer = nullptr);
 
 /// Three-way comparison support: complement-and-add over the serial MAGIC
 /// adder (see compare_units.hpp for the predicate decode). Returns the raw
@@ -49,7 +49,7 @@ struct InMemoryResult {
 /// (complement init + row-parallel NOT + the 12n + 1 serial add).
 [[nodiscard]] InMemoryResult inmemory_compare(
     std::uint64_t a, std::uint64_t b, unsigned n,
-    const device::EnergyModel& em, magic::Tracer* tracer = nullptr);
+    magic::Tracer* tracer = nullptr);
 
 /// One carry-save 3:2 stage over `width`-bit operands: 13 cycles
 /// independent of width. Returns sum and (aligned) carry words.
@@ -57,11 +57,10 @@ struct CsaOutcome {
   std::uint64_t sum = 0;
   std::uint64_t carry = 0;
   util::Cycles cycles = 0;
-  double energy_ops_pj = 0.0;
+  device::EnergyLedger energy;
 };
 [[nodiscard]] CsaOutcome inmemory_csa(std::uint64_t a, std::uint64_t b,
                                       std::uint64_t c, unsigned width,
-                                      const device::EnergyModel& em,
                                       magic::Tracer* tracer = nullptr);
 
 /// Full multi-operand addition: Wallace-tree 3:2 reduction toggling between
@@ -70,14 +69,13 @@ struct CsaOutcome {
 /// (callers typically pass n + ceil(log2(M))).
 [[nodiscard]] InMemoryResult inmemory_tree_add(
     std::span<const std::uint64_t> values, std::span<const unsigned> widths,
-    unsigned width_cap, const device::EnergyModel& em,
-    magic::Tracer* tracer = nullptr);
+    unsigned width_cap, magic::Tracer* tracer = nullptr);
 
 /// Full NxN in-memory multiplication through the three-stage pipeline with
 /// the given approximation configuration. n <= 32.
 [[nodiscard]] InMemoryResult inmemory_multiply(
     std::uint64_t a, std::uint64_t b, unsigned n, ApproxConfig cfg,
-    const device::EnergyModel& em, magic::Tracer* tracer = nullptr);
+    magic::Tracer* tracer = nullptr);
 
 /// Standalone relaxed addition (SA-majority carries, approximated sums in
 /// the low `relax_m` bits), n <= 64: 13(n-m) + 2m + 1 cycles. Carry-out
@@ -85,6 +83,6 @@ struct CsaOutcome {
 /// relaxation, so `carry_out` is exact).
 [[nodiscard]] InMemoryResult inmemory_relaxed_add(
     std::uint64_t a, std::uint64_t b, unsigned n, unsigned relax_m,
-    const device::EnergyModel& em, magic::Tracer* tracer = nullptr);
+    magic::Tracer* tracer = nullptr);
 
 }  // namespace apim::arith

@@ -28,7 +28,6 @@ constexpr std::size_t kLaneGroup = 64;
 /// the engine's stats are returned for the deterministic merge.
 magic::EngineStats run_lane_group(std::span<const std::uint64_t> a,
                                   std::span<const std::uint64_t> b, unsigned n,
-                                  const device::EnergyModel& em,
                                   std::size_t lane_begin, std::size_t lane_end,
                                   std::vector<std::uint64_t>& sums) {
   const std::size_t lanes_count = lane_end - lane_begin;
@@ -38,7 +37,7 @@ magic::EngineStats run_lane_group(std::span<const std::uint64_t> a,
   constexpr std::size_t kRowsPerLane = 14;
   BlockedCrossbar xbar{CrossbarConfig{
       1, lanes_count * kRowsPerLane + 1, std::max<std::size_t>(n + 1, 8)}};
-  magic::MagicEngine engine{xbar, em};
+  magic::MagicEngine engine{xbar};
   for (std::size_t k = 0; k < lanes_count; ++k) {
     for (unsigned i = 0; i < n; ++i) {
       xbar.block(0).set(k * kRowsPerLane, i,
@@ -102,8 +101,7 @@ magic::EngineStats run_lane_group(std::span<const std::uint64_t> a,
 
 VectorAddOutcome inmemory_vector_add(std::span<const std::uint64_t> a,
                                      std::span<const std::uint64_t> b,
-                                     unsigned n,
-                                     const device::EnergyModel& em) {
+                                     unsigned n) {
   assert(a.size() == b.size());
   assert(n >= 1 && n <= 63);
   VectorAddOutcome out;
@@ -111,21 +109,21 @@ VectorAddOutcome inmemory_vector_add(std::span<const std::uint64_t> a,
 
   // One crossbar clone per lane group, groups partitioned across the host
   // pool. Every group runs the identical 12n+1-cycle schedule, so the
-  // wall latency is one group's cycle count; energy is merged serially in
-  // group order so the total is independent of the thread count.
+  // wall latency is one group's cycle count; the group ledgers add up to
+  // the same total in any order.
   const std::size_t groups = (a.size() + kLaneGroup - 1) / kLaneGroup;
   std::vector<magic::EngineStats> group_stats(groups);
   out.sums.assign(a.size(), 0);
   util::ThreadPool::global().parallel_for(
       0, a.size(), kLaneGroup, [&](std::size_t lo, std::size_t hi) {
         group_stats[lo / kLaneGroup] =
-            run_lane_group(a, b, n, em, lo, hi, out.sums);
+            run_lane_group(a, b, n, lo, hi, out.sums);
       });
 
   out.cycles = group_stats.front().cycles;
   for (const magic::EngineStats& s : group_stats) {
     assert(s.cycles == out.cycles);  // Same schedule in every group.
-    out.energy_ops_pj += s.energy_ops_pj;
+    out.energy += s.energy;
   }
   return out;
 }

@@ -24,16 +24,16 @@ namespace apim::arith {
 struct VectorAddOutcome {
   std::vector<std::uint64_t> sums;  ///< (n+1)-bit results, in order.
   util::Cycles cycles = 0;          ///< 12n+1, independent of the count.
-  double energy_ops_pj = 0.0;       ///< Scales with the count.
+  device::EnergyLedger energy;      ///< Scales with the count.
 };
 
 /// Executes all K ripple adders concurrently on the bit-level engine (lane
 /// bit-steps batched across each lane group per cycle). Lane groups of a
 /// fixed size each run on a private crossbar clone, spread across the
-/// host thread pool; sums, cycles and energy are bit-identical for every
+/// host thread pool; sums, cycles and the ledger are identical for every
 /// host thread count.
 [[nodiscard]] VectorAddOutcome inmemory_vector_add(
     std::span<const std::uint64_t> a, std::span<const std::uint64_t> b,
-    unsigned n, const device::EnergyModel& em);
+    unsigned n);
 
 }  // namespace apim::arith

@@ -35,8 +35,8 @@ double TalatiAdder::multi_add_energy_pj(std::size_t operands, unsigned n,
         63u, n + util::bit_width(static_cast<std::uint64_t>(i) - 1));
     const std::uint64_t a = rng.next() & util::low_mask(width);
     const std::uint64_t b = rng.next() & util::low_mask(width);
-    const arith::WordUnitResult r = arith::word_serial_add(a, b, width, em);
-    total += arith::total_energy_pj(r, em);
+    const arith::WordUnitResult r = arith::word_serial_add(a, b, width);
+    total += em.price(r.energy, r.cycles);
   }
   return total;
 }

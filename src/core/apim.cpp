@@ -5,7 +5,6 @@
 #include <cassert>
 #include <cstdlib>
 #include <stdexcept>
-#include <vector>
 
 #include "arith/bitsliced.hpp"
 #include "reliability/residue.hpp"
@@ -78,7 +77,7 @@ std::uint64_t ApimDevice::account(const OpKernel& k, Operands ab,
   ++(stats_.*k.counter);
   stats_.partial_products += r.partial_products;
   stats_.cycles += r.cycles;
-  stats_.energy_ops_pj += r.energy_ops_pj;
+  stats_.energy += r.energy;
   std::uint64_t value = r.value;
   if (!config_.reliability.passive())
     value = protect_result(k, ab, r, op_index);
@@ -103,14 +102,14 @@ std::uint64_t ApimDevice::protect_result(const OpKernel& k, Operands ab,
   if (rel.policy == ReliabilityPolicy::kTripleVote || !k.has_residue) {
     // Domains 1 and 2 run the same schedule concurrently on their
     // redundant processing blocks: latency overlaps (plus a vote step
-    // at the sense amps), energy triples.
+    // at the sense amps), events triple.
     const std::uint64_t v1 =
         faults.apply(lane, 1, k.is_mul, r.value, out_bits, op_index, 0);
     const std::uint64_t v2 =
         faults.apply(lane, 2, k.is_mul, r.value, out_bits, op_index, 0);
-    stats_.energy_ops_pj +=
-        2.0 * r.energy_ops_pj +
-        static_cast<double>(out_bits) * config_.energy.e_maj_pj;
+    stats_.energy += r.energy;
+    stats_.energy += r.energy;
+    stats_.energy.maj_reads += out_bits;
     stats_.cycles += 2;
     ++stats_.votes;
     if (value != v1 || value != v2) ++stats_.faults_detected;
@@ -128,9 +127,9 @@ std::uint64_t ApimDevice::protect_result(const OpKernel& k, Operands ab,
       k.is_mul ? 4 * config_.word_bits : 3 * config_.word_bits + 1;
   const auto residue_ok = [&](std::uint64_t v) {
     const reliability::ResidueCost c =
-        reliability::residue_check_cost(total_bits, config_.energy);
+        reliability::residue_check_cost(total_bits);
     stats_.cycles += c.cycles;
-    stats_.energy_ops_pj += c.energy_pj;
+    stats_.energy += c.energy;
     ++stats_.residue_checks;
     const bool ok = k.is_mul ? reliability::residue_match_mul(a, b, v)
                              : reliability::residue_match_add(a, b, v);
@@ -146,7 +145,7 @@ std::uint64_t ApimDevice::protect_result(const OpKernel& k, Operands ab,
   for (unsigned d = 1; d <= rel.max_retries; ++d) {
     ++stats_.retries;
     stats_.cycles += r.cycles;
-    stats_.energy_ops_pj += r.energy_ops_pj;
+    stats_.energy += r.energy;
     value = faults.apply(lane, d, k.is_mul, r.value, out_bits, op_index, d);
     if (residue_ok(value)) return value;
   }
@@ -218,55 +217,6 @@ std::int64_t ApimDevice::dot_int(std::span<const std::int64_t> a,
   return acc;
 }
 
-std::int64_t ApimDevice::dot_fixed_tree(std::span<const std::int64_t> a,
-                                        std::span<const std::int64_t> b,
-                                        util::FixedPointFormat fmt) {
-  assert(a.size() == b.size());
-  if (a.empty()) return 0;
-
-  std::vector<std::uint64_t> positive, negative;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const std::int64_t p = mul(a[i], b[i], fmt);
-    if (p >= 0) {
-      if (p != 0) positive.push_back(static_cast<std::uint64_t>(p));
-    } else {
-      negative.push_back(static_cast<std::uint64_t>(-p));
-    }
-  }
-
-  const auto reduce = [&](const std::vector<std::uint64_t>& values)
-      -> std::uint64_t {
-    if (values.empty()) return 0;
-    if (values.size() == 1) return values[0];
-    const std::vector<unsigned> widths(values.size(), config_.word_bits);
-    const unsigned cap = std::min<unsigned>(
-        63, config_.word_bits +
-                util::bit_width(
-                    static_cast<std::uint64_t>(values.size()) - 1));
-    const arith::AddOutcome r =
-        arith::fast_tree_add(values, widths, cap, config_.energy);
-    stats_.additions += values.size() - 1;  // Logical adds performed.
-    stats_.cycles += r.cycles;
-    stats_.energy_ops_pj += r.energy_ops_pj;
-    return r.sum;
-  };
-
-  const std::uint64_t pos_sum = reduce(positive);
-  const std::uint64_t neg_sum = reduce(negative);
-  if (!positive.empty() && !negative.empty()) {
-    // Final signed combination: one word-serial subtraction.
-    const arith::AddOutcome fin = arith::fast_add(
-        pos_sum & low_mask(config_.word_bits),
-        neg_sum & low_mask(config_.word_bits), config_.word_bits, 0,
-        config_.energy);
-    ++stats_.additions;
-    stats_.cycles += fin.cycles;
-    stats_.energy_ops_pj += fin.energy_ops_pj;
-  }
-  return static_cast<std::int64_t>(pos_sum) -
-         static_cast<std::int64_t>(neg_sum);
-}
-
 void ApimDevice::parallel_region_end(util::Cycles begin_cycles,
                                      std::size_t ways) {
   assert(ways >= 1);
@@ -281,16 +231,14 @@ void ApimDevice::parallel_region_end(util::Cycles begin_cycles,
 void ApimDevice::charge_data_load(std::uint64_t words) {
   // One wordline write per word (all bitline drivers fire together), with
   // an expected half of the bits actually switching.
+  const std::uint64_t bits = words * config_.word_bits;
   stats_.cycles += words;
-  stats_.energy_ops_pj +=
-      static_cast<double>(words) * static_cast<double>(config_.word_bits) *
-      (config_.energy.e_write_driver_pj + 0.5 * config_.energy.e_switch_pj);
+  stats_.energy.write_drivers += bits;
+  stats_.energy.switches += bits / 2;
 }
 
 double ApimDevice::energy_pj() const noexcept {
-  return stats_.energy_ops_pj +
-         static_cast<double>(stats_.cycles) *
-             config_.energy.e_cycle_overhead_pj;
+  return config_.energy.price(stats_.energy, stats_.cycles);
 }
 
 double ApimDevice::elapsed_seconds() const noexcept {

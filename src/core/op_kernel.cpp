@@ -22,17 +22,17 @@ unsigned adder_relax(const ApimConfig& c) noexcept {
 }
 
 OpOutcome outcome(const arith::InMemoryResult& r) {
-  return {r.value, r.cycles, r.energy_ops_pj, 0};
+  return {r.value, r.cycles, r.energy, 0};
 }
 OpOutcome outcome(const arith::MultiplyOutcome& r) {
-  return {r.product, r.cycles, r.energy_ops_pj, r.partial_count};
+  return {r.product, r.cycles, r.energy, r.partial_count};
 }
 OpOutcome outcome(const arith::AddOutcome& r) {
-  return {r.sum, r.cycles, r.energy_ops_pj, 0};
+  return {r.sum, r.cycles, r.energy, 0};
 }
 /// The raw complement-add sum: protection checks it, decode reads it.
 OpOutcome outcome(const arith::CompareOutcome& r) {
-  return {r.sum, r.cycles, r.energy_ops_pj, 0};
+  return {r.sum, r.cycles, r.energy, 0};
 }
 
 /// Run a bitsliced slice kernel into its native outcomes, then convert.
@@ -49,18 +49,16 @@ constexpr std::array<OpKernel, 4> kKernels = {{
     {.name = "mul",
      .engine = [](Operands ab, const ApimConfig& c) {
        return outcome(arith::inmemory_multiply(ab.first, ab.second,
-                                               c.word_bits, c.approx,
-                                               c.energy));
+                                               c.word_bits, c.approx));
      },
      .word = [](Operands ab, const ApimConfig& c) {
        return outcome(arith::fast_multiply(ab.first, ab.second, c.word_bits,
-                                           c.approx, c.energy));
+                                           c.approx));
      },
      .slice = [](std::span<const Operands> ops, const ApimConfig& c,
                  std::span<OpOutcome> out) {
        sliced<arith::MultiplyOutcome>(out, [&](auto raw) {
-         arith::bitsliced_multiply_slice(ops, c.word_bits, c.approx,
-                                         c.energy, raw);
+         arith::bitsliced_multiply_slice(ops, c.word_bits, c.approx, raw);
        });
      },
      .counter = &ExecStats::multiplies,
@@ -74,20 +72,18 @@ constexpr std::array<OpKernel, 4> kKernels = {{
        const unsigned m = arith::profitable_add_relax(c.word_bits,
                                                       adder_relax(c));
        return outcome(m == 0 ? arith::inmemory_serial_add(
-                                   ab.first, ab.second, c.word_bits, c.energy)
+                                   ab.first, ab.second, c.word_bits)
                              : arith::inmemory_relaxed_add(
-                                   ab.first, ab.second, c.word_bits, m,
-                                   c.energy));
+                                   ab.first, ab.second, c.word_bits, m));
      },
      .word = [](Operands ab, const ApimConfig& c) {
        return outcome(arith::fast_add(ab.first, ab.second, c.word_bits,
-                                      adder_relax(c), c.energy));
+                                      adder_relax(c)));
      },
      .slice = [](std::span<const Operands> ops, const ApimConfig& c,
                  std::span<OpOutcome> out) {
        sliced<arith::AddOutcome>(out, [&](auto raw) {
-         arith::bitsliced_add_slice(ops, c.word_bits, adder_relax(c),
-                                    c.energy, raw);
+         arith::bitsliced_add_slice(ops, c.word_bits, adder_relax(c), raw);
        });
      },
      .counter = &ExecStats::additions,
@@ -97,17 +93,16 @@ constexpr std::array<OpKernel, 4> kKernels = {{
     // Always exact: predicates and join keys are the exactness domain.
     {.name = "cmp",
      .engine = [](Operands ab, const ApimConfig& c) {
-       return outcome(arith::inmemory_compare(ab.first, ab.second,
-                                              c.word_bits, c.energy));
+       return outcome(
+           arith::inmemory_compare(ab.first, ab.second, c.word_bits));
      },
      .word = [](Operands ab, const ApimConfig& c) {
-       return outcome(
-           arith::fast_compare(ab.first, ab.second, c.word_bits, c.energy));
+       return outcome(arith::fast_compare(ab.first, ab.second, c.word_bits));
      },
      .slice = [](std::span<const Operands> ops, const ApimConfig& c,
                  std::span<OpOutcome> out) {
        sliced<arith::CompareOutcome>(out, [&](auto raw) {
-         arith::bitsliced_compare_slice(ops, c.word_bits, c.energy, raw);
+         arith::bitsliced_compare_slice(ops, c.word_bits, raw);
        });
      },
      .counter = &ExecStats::comparisons,
@@ -128,11 +123,10 @@ constexpr std::array<OpKernel, 4> kKernels = {{
     // The Wallace tree-add of the operand's bits; no sliced kernel.
     {.name = "popcnt",
      .engine = [](Operands ab, const ApimConfig& c) {
-       return outcome(
-           arith::inmemory_popcount(ab.first, c.word_bits, c.energy));
+       return outcome(arith::inmemory_popcount(ab.first, c.word_bits));
      },
      .word = [](Operands ab, const ApimConfig& c) {
-       return outcome(arith::fast_popcount(ab.first, c.word_bits, c.energy));
+       return outcome(arith::fast_popcount(ab.first, c.word_bits));
      },
      .counter = &ExecStats::popcounts,
      .out_bits = [](unsigned n) { return arith::popcount_width_cap(n); },

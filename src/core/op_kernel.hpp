@@ -29,7 +29,7 @@ using Operands = std::pair<std::uint64_t, std::uint64_t>;
 struct OpOutcome {
   std::uint64_t value;
   util::Cycles cycles;
-  double energy_ops_pj;
+  device::EnergyLedger energy;
   std::uint64_t partial_products;  ///< Multiplies off the engine tier.
 };
 

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 
+#include "device/energy_model.hpp"
 #include "util/units.hpp"
 
 namespace apim::core {
@@ -13,7 +14,8 @@ struct ExecStats {
   std::uint64_t comparisons = 0;  ///< Three-way compares (analytics ops).
   std::uint64_t popcounts = 0;    ///< In-memory popcount reductions.
   util::Cycles cycles = 0;         ///< Total lane-cycles issued.
-  double energy_ops_pj = 0.0;      ///< Micro-op energy (no cycle overhead).
+  device::EnergyLedger energy;     ///< Micro-op events (priced by the
+                                   ///< device model with `cycles`).
   std::uint64_t partial_products = 0;  ///< Generated across all multiplies.
 
   // -- Reliability counters (reliability/policy.hpp) ----------------------
@@ -36,7 +38,7 @@ struct ExecStats {
     comparisons += other.comparisons;
     popcounts += other.popcounts;
     cycles += other.cycles;
-    energy_ops_pj += other.energy_ops_pj;
+    energy += other.energy;
     partial_products += other.partial_products;
     residue_checks += other.residue_checks;
     faults_detected += other.faults_detected;

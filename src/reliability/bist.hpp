@@ -34,11 +34,11 @@ namespace apim::reliability {
 
 struct BistCost {
   util::Cycles cycles = 0;
-  double energy_pj = 0.0;
+  device::EnergyLedger energy;
 
   void merge(const BistCost& other) noexcept {
     cycles += other.cycles;
-    energy_pj += other.energy_pj;
+    energy += other.energy;
   }
 };
 
@@ -56,8 +56,7 @@ struct MarchReport {
                                      std::size_t block, std::size_t row_begin,
                                      std::size_t row_end,
                                      std::size_t col_begin,
-                                     std::size_t col_end,
-                                     const device::EnergyModel& em);
+                                     std::size_t col_end);
 
 struct RepairReport {
   std::size_t faulty_rows = 0;     ///< Rows the initial scan flagged.
@@ -71,8 +70,7 @@ struct RepairReport {
 RepairReport scan_and_repair(crossbar::BlockedCrossbar& xbar,
                              std::size_t block, std::size_t row_begin,
                              std::size_t row_end, std::size_t col_begin,
-                             std::size_t col_end,
-                             const device::EnergyModel& em);
+                             std::size_t col_end);
 
 /// Scan each band of `bands` (rows [base, base + band_rows) of `block`)
 /// and quarantine the defective ones in the allocator, so subsequent
@@ -83,8 +81,6 @@ std::size_t quarantine_faulty_bands(crossbar::BlockedCrossbar& xbar,
                                     crossbar::RotatingScratchAllocator& bands,
                                     std::size_t band_rows,
                                     std::size_t col_begin,
-                                    std::size_t col_end,
-                                    const device::EnergyModel& em,
-                                    BistCost& cost);
+                                    std::size_t col_end, BistCost& cost);
 
 }  // namespace apim::reliability

@@ -53,8 +53,7 @@ TrialFabric build_fabric(const CampaignConfig& cfg, std::uint64_t trial_seed) {
     if (repair) {
       for (std::size_t d = 0; d < cfg.domains; ++d) {
         const RepairReport rep =
-            scan_and_repair(xbar, 1 + d, 0, cfg.scratch_rows, 0, cols,
-                            cfg.device.energy);
+            scan_and_repair(xbar, 1 + d, 0, cfg.scratch_rows, 0, cols);
         fabric.spares_used += rep.spares_used;
         fabric.unrepaired_rows += rep.unrepaired_rows;
         fabric.repair_cost.merge(rep.cost);
@@ -155,7 +154,7 @@ CampaignResult run_campaign(const CampaignConfig& cfg) {
       }
       core::ApimDevice device{dev_cfg};
       device.charge_reliability_overhead(fabric.repair_cost.cycles,
-                                         fabric.repair_cost.energy_pj);
+                                         fabric.repair_cost.energy);
       const std::vector<double> out = ctx.app->run_apim(device);
 
       CampaignRun run;

@@ -46,15 +46,16 @@ namespace apim::reliability {
 
 struct ResidueCost {
   util::Cycles cycles = 0;
-  double energy_pj = 0.0;
+  device::EnergyLedger energy;
 };
 
 /// Cost of residue-checking one result: `total_bits` counts every bit the
-/// checker must fold (both operands plus the result).
+/// checker must fold (both operands plus the result), one SA read each.
 [[nodiscard]] inline ResidueCost residue_check_cost(
-    unsigned total_bits, const device::EnergyModel& em) noexcept {
-  return ResidueCost{(total_bits + 1) / 2,
-                     static_cast<double>(total_bits) * em.e_read_pj};
+    unsigned total_bits) noexcept {
+  ResidueCost c{(total_bits + 1) / 2, {}};
+  c.energy.sa_reads = total_bits;
+  return c;
 }
 
 }  // namespace apim::reliability

@@ -79,9 +79,7 @@ BatchExecution execute_batch(
     }
   }
   out.makespan = *std::max_element(lane_cycles.begin(), lane_cycles.end());
-  out.energy_pj = out.stats.energy_ops_pj +
-                  static_cast<double>(out.stats.cycles) *
-                      cfg.energy.e_cycle_overhead_pj;
+  out.energy_pj = cfg.energy.price(out.stats.energy, out.stats.cycles);
   return out;
 }
 

@@ -16,10 +16,6 @@
 namespace apim::arith {
 namespace {
 
-const device::EnergyModel& em() {
-  return device::EnergyModel::paper_defaults();
-}
-
 // ------------------------------------------------------------ serial add --
 
 TEST(SerialAdd, WordModelComputesExactSums) {
@@ -29,7 +25,7 @@ TEST(SerialAdd, WordModelComputesExactSums) {
     const std::uint64_t mask = util::low_mask(n);
     const std::uint64_t a = rng.next() & mask;
     const std::uint64_t b = rng.next() & mask;
-    const WordUnitResult r = word_serial_add(a, b, n, em());
+    const WordUnitResult r = word_serial_add(a, b, n);
     EXPECT_EQ(r.value, a + b) << "n=" << n;
     EXPECT_EQ(r.cycles, serial_add_cycles(n));
   }
@@ -42,10 +38,10 @@ TEST(SerialAdd, EngineComputesExactSums) {
     const std::uint64_t mask = util::low_mask(n);
     const std::uint64_t a = rng.next() & mask;
     const std::uint64_t b = rng.next() & mask;
-    const InMemoryResult r = inmemory_serial_add(a, b, n, em());
+    const InMemoryResult r = inmemory_serial_add(a, b, n);
     EXPECT_EQ(r.value, a + b) << "n=" << n;
     EXPECT_EQ(r.cycles, serial_add_cycles(n));
-    EXPECT_GT(r.energy_ops_pj, 0.0);
+    EXPECT_NE(r.energy, device::EnergyLedger{});
   }
 }
 
@@ -54,13 +50,13 @@ TEST(SerialAdd, PaperCycleFormula) {
   EXPECT_EQ(serial_add_cycles(1), 13u);
   EXPECT_EQ(serial_add_cycles(16), 193u);
   EXPECT_EQ(serial_add_cycles(32), 385u);
-  const InMemoryResult r = inmemory_serial_add(0x1234, 0x5678, 16, em());
+  const InMemoryResult r = inmemory_serial_add(0x1234, 0x5678, 16);
   EXPECT_EQ(r.cycles, 193u);
 }
 
 TEST(SerialAdd, CarryOutAtFullWidth) {
   const unsigned n = 8;
-  const InMemoryResult r = inmemory_serial_add(0xFF, 0x01, n, em());
+  const InMemoryResult r = inmemory_serial_add(0xFF, 0x01, n);
   EXPECT_EQ(r.value, 0x100u);
 }
 
@@ -71,7 +67,7 @@ TEST(Csa, ThirteenCyclesIndependentOfWidth) {
   // a 1-bit addition (i.e., 13 cycles) irrespective of the size of the
   // operands."
   for (unsigned width : {4u, 8u, 16u, 32u, 48u}) {
-    const CsaOutcome r = inmemory_csa(0x3, 0x5, 0x6, width, em());
+    const CsaOutcome r = inmemory_csa(0x3, 0x5, 0x6, width);
     EXPECT_EQ(r.cycles, 13u) << "width " << width;
   }
 }
@@ -84,16 +80,17 @@ TEST(Csa, PreservesArithmeticSum) {
     const std::uint64_t a = rng.next() & mask;
     const std::uint64_t b = rng.next() & mask;
     const std::uint64_t c = rng.next() & mask;
-    const CsaOutcome r = inmemory_csa(a, b, c, width, em());
+    const CsaOutcome r = inmemory_csa(a, b, c, width);
     EXPECT_EQ(r.sum + r.carry, a + b + c);
   }
 }
 
 TEST(Csa, WiderIsNotSlowerButCostsMoreEnergy) {
-  const CsaOutcome narrow = inmemory_csa(1, 2, 3, 4, em());
-  const CsaOutcome wide = inmemory_csa(1, 2, 3, 48, em());
+  const CsaOutcome narrow = inmemory_csa(1, 2, 3, 4);
+  const CsaOutcome wide = inmemory_csa(1, 2, 3, 48);
   EXPECT_EQ(narrow.cycles, wide.cycles);
-  EXPECT_GT(wide.energy_ops_pj, narrow.energy_ops_pj);
+  EXPECT_GT(wide.energy.inits, narrow.energy.inits);
+  EXPECT_GT(wide.energy.inputs_off, narrow.energy.inputs_off);
 }
 
 // ------------------------------------------------------------- tree adder --
@@ -122,7 +119,7 @@ TEST(TreeAdd, WordModelSumsManyOperands) {
     const unsigned n = 16;
     auto [values, widths, total] = random_operands(rng, count, n);
     const AddOutcome r =
-        fast_tree_add(values, widths, cap_for(count, n), em());
+        fast_tree_add(values, widths, cap_for(count, n));
     EXPECT_EQ(r.sum, total) << "count=" << count;
   }
 }
@@ -133,7 +130,7 @@ TEST(TreeAdd, EngineSumsManyOperands) {
     const unsigned n = 12;
     auto [values, widths, total] = random_operands(rng, count, n);
     const InMemoryResult r =
-        inmemory_tree_add(values, widths, cap_for(count, n), em());
+        inmemory_tree_add(values, widths, cap_for(count, n));
     EXPECT_EQ(r.value, total) << "count=" << count;
   }
 }
@@ -145,7 +142,7 @@ TEST(TreeAdd, NineOperandLatencyMatchesPaperStructure) {
   util::Xoshiro256 rng(36);
   const unsigned n = 16;
   auto [values, widths, total] = random_operands(rng, 9, n);
-  const InMemoryResult r = inmemory_tree_add(values, widths, n + 4, em());
+  const InMemoryResult r = inmemory_tree_add(values, widths, n + 4);
   EXPECT_EQ(r.value, total);
   EXPECT_EQ(r.cycles, 4 * 13 + serial_add_cycles(n + 4));
 }
@@ -155,7 +152,7 @@ TEST(TreeAdd, ThreeOperandsMatchPaperTotal) {
   util::Xoshiro256 rng(37);
   const unsigned n = 16;
   auto [values, widths, total] = random_operands(rng, 3, n);
-  const InMemoryResult r = inmemory_tree_add(values, widths, n + 2, em());
+  const InMemoryResult r = inmemory_tree_add(values, widths, n + 2);
   EXPECT_EQ(r.value, total);
   EXPECT_EQ(r.cycles, 12u * (n + 1) + 14u);  // Survivors are (n+1)-bit.
 }
@@ -179,8 +176,8 @@ TEST(TreeAdd, MixedWidthOperands) {
   const std::vector<unsigned> widths{16, 4, 10, 1, 7};
   std::uint64_t total = 0;
   for (auto v : values) total += v;
-  const InMemoryResult engine_r = inmemory_tree_add(values, widths, 20, em());
-  const AddOutcome fast_r = fast_tree_add(values, widths, 20, em());
+  const InMemoryResult engine_r = inmemory_tree_add(values, widths, 20);
+  const AddOutcome fast_r = fast_tree_add(values, widths, 20);
   EXPECT_EQ(engine_r.value, total);
   EXPECT_EQ(fast_r.sum, total);
 }
@@ -223,7 +220,7 @@ TEST(RelaxedAdd, EngineMatchesReferenceSemantics) {
     const unsigned m = static_cast<unsigned>(rng.next_below(n + 1));
     const std::uint64_t a = rng.next() & util::low_mask(n);
     const std::uint64_t b = rng.next() & util::low_mask(n);
-    const InMemoryResult r = inmemory_relaxed_add(a, b, n, m, em());
+    const InMemoryResult r = inmemory_relaxed_add(a, b, n, m);
     EXPECT_EQ(r.value, approximate_add_value(a, b, n, m))
         << "a=" << a << " b=" << b << " m=" << m;
     EXPECT_EQ(r.cycles, final_add_cycles(n, m));
@@ -262,10 +259,10 @@ TEST(RelaxedAdd, FullRelaxErrorMatches25PercentCaseRate) {
 // --------------------------------------------------------- standalone add --
 
 TEST(FastAdd, DispatchesSerialVsRelaxed) {
-  const AddOutcome exact = fast_add(100, 200, 16, 0, em());
+  const AddOutcome exact = fast_add(100, 200, 16, 0);
   EXPECT_EQ(exact.sum, 300u);
   EXPECT_EQ(exact.cycles, serial_add_cycles(16));
-  const AddOutcome relaxed = fast_add(100, 200, 16, 8, em());
+  const AddOutcome relaxed = fast_add(100, 200, 16, 8);
   EXPECT_EQ(relaxed.cycles, final_add_cycles(16, 8));
   // High bits still exact.
   EXPECT_EQ(relaxed.sum >> 8, 300u >> 8);

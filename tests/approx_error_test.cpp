@@ -30,7 +30,7 @@ double mean_relative_error(unsigned n, ApproxConfig cfg, int trials,
     const std::uint64_t b =
         lo + (rng.next() & (util::low_mask(n) - lo));
     const std::uint64_t exact = a * b;
-    const MultiplyOutcome r = fast_multiply(a, b, n, cfg, em());
+    const MultiplyOutcome r = fast_multiply(a, b, n, cfg);
     const double err = std::abs(static_cast<double>(r.product) -
                                 static_cast<double>(exact)) /
                        static_cast<double>(exact);
@@ -75,11 +75,11 @@ TEST(ApproxError, LastStageBeatsFirstStageAtComparableLatency) {
     const std::uint64_t a = rng.next() & util::low_mask(32);
     const std::uint64_t b = rng.next() & util::low_mask(32);
     cycles_exact.add(static_cast<double>(
-        fast_multiply(a, b, 32, ApproxConfig::exact(), em()).cycles));
+        fast_multiply(a, b, 32, ApproxConfig::exact()).cycles));
     cycles_first.add(
-        static_cast<double>(fast_multiply(a, b, 32, first, em()).cycles));
+        static_cast<double>(fast_multiply(a, b, 32, first).cycles));
     cycles_last.add(
-        static_cast<double>(fast_multiply(a, b, 32, last, em()).cycles));
+        static_cast<double>(fast_multiply(a, b, 32, last).cycles));
   }
   // Both approximations cut latency vs exact. First-stage masking saves
   // little here because the exact final stage (13*2N) dominates — exactly
@@ -101,7 +101,7 @@ TEST(ApproxError, LastStageWorstCaseBound) {
     const std::uint64_t a = rng.next() & util::low_mask(32);
     const std::uint64_t b = rng.next() & util::low_mask(32);
     const MultiplyOutcome r =
-        fast_multiply(a, b, 32, ApproxConfig::last_stage(m), em());
+        fast_multiply(a, b, 32, ApproxConfig::last_stage(m));
     const std::uint64_t exact = a * b;
     const std::uint64_t diff =
         r.product > exact ? r.product - exact : exact - r.product;
@@ -117,7 +117,7 @@ TEST(ApproxError, FirstStageWorstCaseBound) {
     const std::uint64_t a = rng.next() & util::low_mask(32);
     const std::uint64_t b = rng.next() & util::low_mask(32);
     const MultiplyOutcome r =
-        fast_multiply(a, b, 32, ApproxConfig::first_stage(mask), em());
+        fast_multiply(a, b, 32, ApproxConfig::first_stage(mask));
     const std::uint64_t exact = a * b;
     ASSERT_LE(exact - r.product,
               a * (util::low_mask(mask)))
@@ -135,8 +135,9 @@ TEST(ApproxError, EnergyAndLatencyDropWithMoreApproximation) {
       const std::uint64_t a = local.next() & util::low_mask(32);
       const std::uint64_t b = local.next() & util::low_mask(32);
       const MultiplyOutcome r =
-          fast_multiply(a, b, 32, ApproxConfig::last_stage(m), em());
-      stats.add(total_energy_pj(r, em()) * static_cast<double>(r.cycles));
+          fast_multiply(a, b, 32, ApproxConfig::last_stage(m));
+      stats.add(em().price(r.energy, r.cycles) *
+                static_cast<double>(r.cycles));
     }
     edp.push_back(stats.mean());
   }

@@ -2,14 +2,13 @@
 //
 // The contract under test (arith/bitsliced.hpp): for every lane of a
 // homogeneous slice, the bitsliced evaluator produces values, cycle counts
-// AND energy doubles that are bit-identical (operator==) to the scalar
-// word-level models — which are themselves property-tested against the
-// bit-level MAGIC engine (tests/arith_equivalence_test.cpp). The gate
-// closes the triangle three ways:
+// AND energy ledgers that are equal (operator==) to the scalar word-level
+// models — which are themselves property-tested against the bit-level
+// MAGIC engine (tests/arith_equivalence_test.cpp). The gate closes the
+// triangle three ways:
 //
-//   bit-level engine  ==  word models   (values/cycles exact, energy to
-//                                        summation-order tolerance)
-//   word models       ==  bitsliced     (everything exact, incl. energy)
+//   bit-level engine  ==  word models   (everything exact, incl. ledgers)
+//   word models       ==  bitsliced     (everything exact, incl. ledgers)
 //
 // plus the carry-out boundary contract at widths 63/64, the serving batch
 // path on both tiers (across host thread counts and slice-fill shapes),
@@ -37,14 +36,6 @@
 
 namespace apim::arith {
 namespace {
-
-const device::EnergyModel& em() {
-  return device::EnergyModel::paper_defaults();
-}
-
-/// Engine-vs-word energy comparisons inherit the summation-order tolerance
-/// of the existing equivalence suite; word-vs-bitsliced uses operator==.
-constexpr double kEnergyTolPj = 1e-9;
 
 /// Operand pairs that exercise carries hard: random, all-ones (guaranteed
 /// carry out), complementary, and zero lanes, for `count` lanes.
@@ -107,14 +98,14 @@ TEST_P(BitslicedAddEquivalence, LanesMatchFastAddExactly) {
   const auto ops =
       carry_heavy_pairs(count, n, 6000 + 131 * n + 17 * relax_m + count);
   std::vector<AddOutcome> sliced(count);
-  bitsliced_add_slice(ops, n, relax_m, em(), sliced);
+  bitsliced_add_slice(ops, n, relax_m, sliced);
   for (std::size_t l = 0; l < count; ++l) {
     const AddOutcome ref =
-        fast_add(ops[l].first, ops[l].second, n, relax_m, em());
+        fast_add(ops[l].first, ops[l].second, n, relax_m);
     ASSERT_EQ(sliced[l].sum, ref.sum) << "lane " << l;
     ASSERT_EQ(sliced[l].carry_out, ref.carry_out) << "lane " << l;
     ASSERT_EQ(sliced[l].cycles, ref.cycles) << "lane " << l;
-    ASSERT_EQ(sliced[l].energy_ops_pj, ref.energy_ops_pj)
+    ASSERT_EQ(sliced[l].energy, ref.energy)
         << "lane " << l;  // Bit-exact, not NEAR.
   }
 }
@@ -168,16 +159,16 @@ TEST_P(BitslicedMultiplyEquivalence, LanesMatchFastMultiplyExactly) {
     ops.emplace_back(rng.next() & mask, b);
   }
   std::vector<MultiplyOutcome> sliced(count);
-  bitsliced_multiply_slice(ops, n, cfg, em(), sliced);
+  bitsliced_multiply_slice(ops, n, cfg, sliced);
   for (std::size_t l = 0; l < count; ++l) {
     const MultiplyOutcome ref =
-        fast_multiply(ops[l].first, ops[l].second, n, cfg, em());
+        fast_multiply(ops[l].first, ops[l].second, n, cfg);
     ASSERT_EQ(sliced[l].product, ref.product)
         << "lane " << l << " a=" << ops[l].first << " b=" << ops[l].second;
     ASSERT_EQ(sliced[l].cycles, ref.cycles) << "lane " << l;
     ASSERT_EQ(sliced[l].partial_count, ref.partial_count) << "lane " << l;
     ASSERT_EQ(sliced[l].tree_stages, ref.tree_stages) << "lane " << l;
-    ASSERT_EQ(sliced[l].energy_ops_pj, ref.energy_ops_pj)
+    ASSERT_EQ(sliced[l].energy, ref.energy)
         << "lane " << l;  // Bit-exact, not NEAR.
   }
 }
@@ -217,24 +208,24 @@ TEST_P(ThreeWayAddGate, EngineWordAndBitslicedAgree) {
   const std::size_t count = 16;
   const auto ops = carry_heavy_pairs(count, n, 8000 + 7 * n + relax_m);
   std::vector<AddOutcome> sliced(count);
-  bitsliced_add_slice(ops, n, relax_m, em(), sliced);
+  bitsliced_add_slice(ops, n, relax_m, sliced);
   const unsigned m = profitable_add_relax(n, relax_m);
   for (std::size_t l = 0; l < count; ++l) {
     const auto [a, b] = ops[l];
     const InMemoryResult engine =
-        m > 0 ? inmemory_relaxed_add(a, b, n, m, em())
-              : inmemory_serial_add(a, b, n, em());
-    const AddOutcome word = fast_add(a, b, n, relax_m, em());
-    // Engine vs word: values/cycles exact, energy to summation tolerance.
+        m > 0 ? inmemory_relaxed_add(a, b, n, m)
+              : inmemory_serial_add(a, b, n);
+    const AddOutcome word = fast_add(a, b, n, relax_m);
+    // Engine vs word: everything exact.
     ASSERT_EQ(word.sum, engine.value) << "n=" << n << " lane " << l;
     ASSERT_EQ(word.carry_out, engine.carry_out) << "n=" << n << " lane " << l;
     ASSERT_EQ(word.cycles, engine.cycles);
-    ASSERT_NEAR(word.energy_ops_pj, engine.energy_ops_pj, kEnergyTolPj);
+    ASSERT_EQ(word.energy, engine.energy);
     // Word vs bitsliced: everything exact.
     ASSERT_EQ(sliced[l].sum, word.sum);
     ASSERT_EQ(sliced[l].carry_out, word.carry_out);
     ASSERT_EQ(sliced[l].cycles, word.cycles);
-    ASSERT_EQ(sliced[l].energy_ops_pj, word.energy_ops_pj);
+    ASSERT_EQ(sliced[l].energy, word.energy);
   }
 }
 
@@ -267,17 +258,17 @@ TEST(ThreeWayMultiplyGate, EngineWordAndBitslicedAgree) {
     for (std::size_t i = 0; i < count; ++i)
       ops.emplace_back(rng.next() & mask, rng.next() & mask);
     std::vector<MultiplyOutcome> sliced(count);
-    bitsliced_multiply_slice(ops, c.n, cfg, em(), sliced);
+    bitsliced_multiply_slice(ops, c.n, cfg, sliced);
     for (std::size_t l = 0; l < count; ++l) {
       const auto [a, b] = ops[l];
-      const InMemoryResult engine = inmemory_multiply(a, b, c.n, cfg, em());
-      const MultiplyOutcome word = fast_multiply(a, b, c.n, cfg, em());
+      const InMemoryResult engine = inmemory_multiply(a, b, c.n, cfg);
+      const MultiplyOutcome word = fast_multiply(a, b, c.n, cfg);
       ASSERT_EQ(word.product, engine.value) << "n=" << c.n << " lane " << l;
       ASSERT_EQ(word.cycles, engine.cycles);
-      ASSERT_NEAR(word.energy_ops_pj, engine.energy_ops_pj, kEnergyTolPj);
+      ASSERT_EQ(word.energy, engine.energy);
       ASSERT_EQ(sliced[l].product, word.product);
       ASSERT_EQ(sliced[l].cycles, word.cycles);
-      ASSERT_EQ(sliced[l].energy_ops_pj, word.energy_ops_pj);
+      ASSERT_EQ(sliced[l].energy, word.energy);
     }
   }
 }
@@ -287,9 +278,9 @@ TEST(ThreeWayMultiplyGate, EngineWordAndBitslicedAgree) {
 TEST(CarryOutBoundary, Width63KeepsCarryInBandAndOutOfBand) {
   // 63-bit all-ones + all-ones: sum overflows into bit 63.
   const std::uint64_t a = util::low_mask(63), b = util::low_mask(63);
-  const WordUnitResult word = word_serial_add(a, b, 63, em());
-  const InMemoryResult engine = inmemory_serial_add(a, b, 63, em());
-  const AddOutcome fast = fast_add(a, b, 63, 0, em());
+  const WordUnitResult word = word_serial_add(a, b, 63);
+  const InMemoryResult engine = inmemory_serial_add(a, b, 63);
+  const AddOutcome fast = fast_add(a, b, 63, 0);
   const std::uint64_t expect = (a + b) & ~(std::uint64_t{1} << 63);
   // (n+1)-bit in-band result: bit 63 IS the carry...
   EXPECT_EQ(word.value, (a + b));
@@ -306,9 +297,9 @@ TEST(CarryOutBoundary, Width64ReportsCarryOutOfBandOnly) {
   const std::uint64_t a = ~std::uint64_t{0};
   const std::uint64_t cases_b[] = {1, ~std::uint64_t{0}, 0x8000000000000000u};
   for (const std::uint64_t b : cases_b) {
-    const WordUnitResult word = word_serial_add(a, b, 64, em());
-    const InMemoryResult engine = inmemory_serial_add(a, b, 64, em());
-    const AddOutcome fast = fast_add(a, b, 64, 0, em());
+    const WordUnitResult word = word_serial_add(a, b, 64);
+    const InMemoryResult engine = inmemory_serial_add(a, b, 64);
+    const AddOutcome fast = fast_add(a, b, 64, 0);
     const std::uint64_t truncated = a + b;  // Wraps mod 2^64.
     EXPECT_EQ(word.value, truncated) << "b=" << b;
     EXPECT_EQ(engine.value, truncated) << "b=" << b;
@@ -318,7 +309,7 @@ TEST(CarryOutBoundary, Width64ReportsCarryOutOfBandOnly) {
     EXPECT_TRUE(fast.carry_out) << "b=" << b;
   }
   // No carry: out-of-band flag stays clear.
-  const WordUnitResult quiet = word_serial_add(5, 7, 64, em());
+  const WordUnitResult quiet = word_serial_add(5, 7, 64);
   EXPECT_EQ(quiet.value, 12u);
   EXPECT_FALSE(quiet.carry_out);
 }
@@ -328,13 +319,13 @@ TEST(CarryOutBoundary, Width64RelaxedAdderCarryIsExact) {
   // carry_out must be exact even with m > 0 (word_models.hpp contract).
   const std::uint64_t a = ~std::uint64_t{0}, b = ~std::uint64_t{0};
   for (const unsigned m : {1u, 8u, 32u}) {
-    const WordUnitResult word = word_final_add(a, b, 64, m, em());
-    const InMemoryResult engine = inmemory_relaxed_add(a, b, 64, m, em());
+    const WordUnitResult word = word_final_add(a, b, 64, m);
+    const InMemoryResult engine = inmemory_relaxed_add(a, b, 64, m);
     EXPECT_TRUE(word.carry_out) << "m=" << m;
     EXPECT_TRUE(engine.carry_out) << "m=" << m;
     EXPECT_EQ(word.value, engine.value) << "m=" << m;
     EXPECT_EQ(word.cycles, engine.cycles) << "m=" << m;
-    EXPECT_NEAR(word.energy_ops_pj, engine.energy_ops_pj, kEnergyTolPj);
+    EXPECT_EQ(word.energy, engine.energy);
   }
 }
 
@@ -370,7 +361,7 @@ void expect_same_batch(const serve::BatchExecution& sliced,
   ASSERT_EQ(sliced.lanes_used, word.lanes_used);
   ASSERT_EQ(sliced.energy_pj, word.energy_pj);  // Bit-exact.
   ASSERT_EQ(sliced.stats.cycles, word.stats.cycles);
-  ASSERT_EQ(sliced.stats.energy_ops_pj, word.stats.energy_ops_pj);
+  ASSERT_EQ(sliced.stats.energy, word.stats.energy);
 }
 
 TEST(BatchBackends, MultiplyBatchMatchesAcrossBackendsAndThreads) {
@@ -438,7 +429,7 @@ TEST(BitslicedDegenerate, EmptyBatchReturnsZeroedOutcome) {
     EXPECT_EQ(out.lanes_used, 0u);
     EXPECT_EQ(out.energy_pj, 0.0);
     EXPECT_EQ(out.stats.cycles, 0u);
-    EXPECT_EQ(out.stats.energy_ops_pj, 0.0);
+    EXPECT_EQ(out.stats.energy, device::EnergyLedger{});
   }
 }
 
@@ -484,7 +475,7 @@ void expect_same_stats(const core::ExecStats& a, const core::ExecStats& b) {
   EXPECT_EQ(a.multiplies, b.multiplies);
   EXPECT_EQ(a.additions, b.additions);
   EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.energy_ops_pj, b.energy_ops_pj);  // Bit-exact.
+  EXPECT_EQ(a.energy, b.energy);
   EXPECT_EQ(a.partial_products, b.partial_products);
   EXPECT_EQ(a.residue_checks, b.residue_checks);
   EXPECT_EQ(a.faults_detected, b.faults_detected);
@@ -566,7 +557,7 @@ TEST(DeviceBatch, EmptyBatchIsANoOp) {
   EXPECT_EQ(device.stats().multiplies, 0u);
   EXPECT_EQ(device.stats().additions, 0u);
   EXPECT_EQ(device.stats().cycles, 0u);
-  EXPECT_EQ(device.stats().energy_ops_pj, 0.0);
+  EXPECT_EQ(device.stats().energy, device::EnergyLedger{});
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 //
 // The batch entry points promise to be semantically identical to calling
 // the scalar op once per pair in order: values, per-op cycle deltas and
-// every ExecStats field (energy doubles included, operator==) must match
+// every ExecStats field (energy ledger included, operator==) must match
 // the scalar loop for each backend and reliability policy. The sweep runs
 // op kind {mul, add, cmp, popcnt} x backend {kFast, kBitsliced, kBitLevel}
 // x policy {kOff, kDetectAndRepair with stuck lanes, kTripleVote with
@@ -110,7 +110,7 @@ void expect_same_stats(const ExecStats& a, const ExecStats& b) {
   EXPECT_EQ(a.comparisons, b.comparisons);
   EXPECT_EQ(a.popcounts, b.popcounts);
   EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.energy_ops_pj, b.energy_ops_pj);  // Bit-exact.
+  EXPECT_EQ(a.energy, b.energy);
   EXPECT_EQ(a.partial_products, b.partial_products);
   EXPECT_EQ(a.residue_checks, b.residue_checks);
   EXPECT_EQ(a.faults_detected, b.faults_detected);

@@ -20,7 +20,7 @@ const device::EnergyModel& em() {
 // ------------------------------------------------------------------- ppg --
 
 TEST(Ppg, GeneratesOnePartialPerSetBit) {
-  const PpgResult r = word_ppg(0xAB, 0b1010, 8, 0, em());
+  const PpgResult r = word_ppg(0xAB, 0b1010, 8, 0);
   ASSERT_EQ(r.partials.size(), 2u);
   EXPECT_EQ(r.partials[0], 0xABull << 1);
   EXPECT_EQ(r.partials[1], 0xABull << 3);
@@ -31,21 +31,22 @@ TEST(Ppg, GeneratesOnePartialPerSetBit) {
 TEST(Ppg, CyclesArePopcountPlusOne) {
   // Section 3.3: shared invert + one copy per '1' bit; worst case N+1.
   for (std::uint64_t m2 : {0b1ull, 0b1111ull, 0xFFull, 0x55ull}) {
-    const PpgResult r = word_ppg(0x3C, m2, 8, 0, em());
+    const PpgResult r = word_ppg(0x3C, m2, 8, 0);
     const unsigned p = static_cast<unsigned>(util::popcount(m2));
     EXPECT_EQ(r.cycles, ppg_cycles(p)) << "m2=" << m2;
   }
-  EXPECT_EQ(word_ppg(0x3C, 0, 8, 0, em()).cycles, 0u);
-  EXPECT_EQ(word_ppg(0x3C, 0xFF, 8, 0, em()).cycles, 9u);  // N+1.
+  EXPECT_EQ(word_ppg(0x3C, 0, 8, 0).cycles, 0u);
+  EXPECT_EQ(word_ppg(0x3C, 0xFF, 8, 0).cycles, 9u);  // N+1.
 }
 
 TEST(Ppg, MaskingSkipsLowBits) {
-  const PpgResult r = word_ppg(0xFF, 0b00001111, 8, 2, em());
+  const PpgResult r = word_ppg(0xFF, 0b00001111, 8, 2);
   ASSERT_EQ(r.partials.size(), 2u);  // Bits 2 and 3 survive.
   EXPECT_EQ(r.partials[0], 0xFFull << 2);
-  // Masked bits are not even read: energy shrinks.
-  const PpgResult unmasked = word_ppg(0xFF, 0b00001111, 8, 0, em());
-  EXPECT_LT(r.energy_ops_pj, unmasked.energy_ops_pj);
+  // Masked bits are not even read (nor copied): energy shrinks.
+  const PpgResult unmasked = word_ppg(0xFF, 0b00001111, 8, 0);
+  EXPECT_EQ(r.energy.sa_reads + 2, unmasked.energy.sa_reads);
+  EXPECT_LT(em().price(r.energy, 0), em().price(unmasked.energy, 0));
 }
 
 // ---------------------------------------------------------- exact multiply --
@@ -57,7 +58,7 @@ TEST(Multiply, FastModelExactOverRandomOperands) {
     const std::uint64_t a = rng.next() & util::low_mask(n);
     const std::uint64_t b = rng.next() & util::low_mask(n);
     const MultiplyOutcome r =
-        fast_multiply(a, b, n, ApproxConfig::exact(), em());
+        fast_multiply(a, b, n, ApproxConfig::exact());
     EXPECT_EQ(r.product, a * b) << "n=" << n << " a=" << a << " b=" << b;
   }
 }
@@ -69,7 +70,7 @@ TEST(Multiply, EngineExactOverRandomOperands) {
     const std::uint64_t a = rng.next() & util::low_mask(n);
     const std::uint64_t b = rng.next() & util::low_mask(n);
     const InMemoryResult r =
-        inmemory_multiply(a, b, n, ApproxConfig::exact(), em());
+        inmemory_multiply(a, b, n, ApproxConfig::exact());
     EXPECT_EQ(r.value, a * b) << "n=" << n << " a=" << a << " b=" << b;
   }
 }
@@ -77,21 +78,21 @@ TEST(Multiply, EngineExactOverRandomOperands) {
 TEST(Multiply, EdgeOperands) {
   for (unsigned n : {4u, 8u, 16u, 32u}) {
     const std::uint64_t max = util::low_mask(n);
-    EXPECT_EQ(fast_multiply(0, 123 & max, n, {}, em()).product, 0u);
-    EXPECT_EQ(fast_multiply(123 & max, 0, n, {}, em()).product, 0u);
-    EXPECT_EQ(fast_multiply(1, max, n, {}, em()).product, max);
-    EXPECT_EQ(fast_multiply(max, max, n, {}, em()).product, max * max);
+    EXPECT_EQ(fast_multiply(0, 123 & max, n, {}).product, 0u);
+    EXPECT_EQ(fast_multiply(123 & max, 0, n, {}).product, 0u);
+    EXPECT_EQ(fast_multiply(1, max, n, {}).product, max);
+    EXPECT_EQ(fast_multiply(max, max, n, {}).product, max * max);
   }
 }
 
 TEST(Multiply, ZeroMultiplierCostsNothing) {
-  const MultiplyOutcome r = fast_multiply(0xFFFF, 0, 16, {}, em());
+  const MultiplyOutcome r = fast_multiply(0xFFFF, 0, 16, {});
   EXPECT_EQ(r.cycles, 0u);
   EXPECT_EQ(r.partial_count, 0u);
 }
 
 TEST(Multiply, SingleBitMultiplierSkipsTreeAndFinal) {
-  const MultiplyOutcome r = fast_multiply(0xABCD, 1u << 7, 16, {}, em());
+  const MultiplyOutcome r = fast_multiply(0xABCD, 1u << 7, 16, {});
   EXPECT_EQ(r.product, 0xABCDull << 7);
   EXPECT_EQ(r.partial_count, 1u);
   EXPECT_EQ(r.tree_stages, 0u);
@@ -107,7 +108,7 @@ TEST(Multiply, CycleFormulaMatchesMeasured) {
     const ApproxConfig cfg{
         static_cast<unsigned>(rng.next_below(n)),
         static_cast<unsigned>(rng.next_below(2 * n + 1))};
-    const MultiplyOutcome r = fast_multiply(a, b, n, cfg, em());
+    const MultiplyOutcome r = fast_multiply(a, b, n, cfg);
     const unsigned p = static_cast<unsigned>(util::popcount(
         b & ~util::low_mask(cfg.mask_bits) & util::low_mask(n)));
     EXPECT_EQ(r.cycles, multiply_cycles(n, p, cfg))
@@ -118,10 +119,10 @@ TEST(Multiply, CycleFormulaMatchesMeasured) {
 TEST(Multiply, PopcountDrivesLatency) {
   // Section 3.3: "the actual delay would vary depending upon the number of
   // '1s' in M2"; sparse multipliers finish faster.
-  const MultiplyOutcome dense = fast_multiply(0xFFFF, 0xFFFF, 16, {}, em());
-  const MultiplyOutcome sparse = fast_multiply(0xFFFF, 0x8001, 16, {}, em());
+  const MultiplyOutcome dense = fast_multiply(0xFFFF, 0xFFFF, 16, {});
+  const MultiplyOutcome sparse = fast_multiply(0xFFFF, 0x8001, 16, {});
   EXPECT_LT(sparse.cycles, dense.cycles);
-  EXPECT_LT(sparse.energy_ops_pj, dense.energy_ops_pj);
+  EXPECT_LT(em().price(sparse.energy, 0), em().price(dense.energy, 0));
 }
 
 // ------------------------------------------------------ approximate modes --
@@ -134,7 +135,7 @@ TEST(Multiply, FirstStageMaskEqualsMaskedExactProduct) {
     const std::uint64_t a = rng.next() & util::low_mask(n);
     const std::uint64_t b = rng.next() & util::low_mask(n);
     const MultiplyOutcome r =
-        fast_multiply(a, b, n, ApproxConfig::first_stage(mask), em());
+        fast_multiply(a, b, n, ApproxConfig::first_stage(mask));
     const std::uint64_t masked_b = b & ~util::low_mask(mask);
     EXPECT_EQ(r.product, a * masked_b);
   }
@@ -148,7 +149,7 @@ TEST(Multiply, FirstStageErrorIsOneSidedUnderestimate) {
     const std::uint64_t a = rng.next() & util::low_mask(32);
     const std::uint64_t b = rng.next() & util::low_mask(32);
     const MultiplyOutcome r =
-        fast_multiply(a, b, 32, ApproxConfig::first_stage(8), em());
+        fast_multiply(a, b, 32, ApproxConfig::first_stage(8));
     EXPECT_LE(r.product, a * b);
   }
 }
@@ -162,7 +163,7 @@ TEST(Multiply, LastStageHighBitsExact) {
     const std::uint64_t a = rng.next() & util::low_mask(n);
     const std::uint64_t b = rng.next() & util::low_mask(n);
     const MultiplyOutcome r =
-        fast_multiply(a, b, n, ApproxConfig::last_stage(m), em());
+        fast_multiply(a, b, n, ApproxConfig::last_stage(m));
     EXPECT_EQ(r.product >> m, (a * b) >> m) << "m=" << m;
   }
 }
@@ -174,7 +175,7 @@ TEST(Multiply, LastStageErrorBoundedByRelaxedRegion) {
     const std::uint64_t a = rng.next() & util::low_mask(32);
     const std::uint64_t b = rng.next() & util::low_mask(32);
     const MultiplyOutcome r =
-        fast_multiply(a, b, 32, ApproxConfig::last_stage(m), em());
+        fast_multiply(a, b, 32, ApproxConfig::last_stage(m));
     const std::uint64_t exact = a * b;
     const std::uint64_t diff =
         r.product > exact ? r.product - exact : exact - r.product;
@@ -188,7 +189,7 @@ TEST(Multiply, RelaxBitsReduceLatencyMonotonically) {
   for (unsigned m : {0u, 4u, 8u, 16u, 24u, 32u}) {
     const MultiplyOutcome r =
         fast_multiply(0x9ABCDEF1, 0x12345678, 32,
-                      ApproxConfig::last_stage(m), em());
+                      ApproxConfig::last_stage(m));
     EXPECT_LT(r.cycles, prev) << "m=" << m;
     prev = r.cycles;
   }
@@ -203,8 +204,8 @@ TEST(Multiply, EngineMatchesApproxSemantics) {
     for (const ApproxConfig cfg :
          {ApproxConfig::exact(), ApproxConfig::first_stage(3),
           ApproxConfig::last_stage(6), ApproxConfig{2, 5}}) {
-      const InMemoryResult engine_r = inmemory_multiply(a, b, n, cfg, em());
-      const MultiplyOutcome fast_r = fast_multiply(a, b, n, cfg, em());
+      const InMemoryResult engine_r = inmemory_multiply(a, b, n, cfg);
+      const MultiplyOutcome fast_r = fast_multiply(a, b, n, cfg);
       EXPECT_EQ(engine_r.value, fast_r.product)
           << "a=" << a << " b=" << b << " mask=" << cfg.mask_bits
           << " relax=" << cfg.relax_bits;
@@ -217,7 +218,7 @@ TEST(Multiply, CombinedModesCompose) {
   // masked product's high bits.
   const std::uint64_t a = 0xDEADBEEF, b = 0xCAFEF00D;
   const ApproxConfig cfg{8, 16};
-  const MultiplyOutcome r = fast_multiply(a, b, 32, cfg, em());
+  const MultiplyOutcome r = fast_multiply(a, b, 32, cfg);
   const std::uint64_t masked_product = a * (b & ~util::low_mask(8));
   EXPECT_EQ(r.product >> 16, masked_product >> 16);
 }

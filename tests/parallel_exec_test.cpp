@@ -28,10 +28,6 @@
 namespace apim {
 namespace {
 
-const device::EnergyModel& em() {
-  return device::EnergyModel::paper_defaults();
-}
-
 /// Restores the default thread-pool configuration on scope exit so a
 /// failing test cannot leak its override into later tests.
 struct ThreadCountGuard {
@@ -145,7 +141,7 @@ void expect_same_stats(const core::ExecStats& a, const core::ExecStats& b) {
   EXPECT_EQ(a.comparisons, b.comparisons);
   EXPECT_EQ(a.popcounts, b.popcounts);
   EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.energy_ops_pj, b.energy_ops_pj);  // Bit-exact.
+  EXPECT_EQ(a.energy, b.energy);
   EXPECT_EQ(a.partial_products, b.partial_products);
   EXPECT_EQ(a.residue_checks, b.residue_checks);
   EXPECT_EQ(a.faults_detected, b.faults_detected);
@@ -266,7 +262,7 @@ TEST(ParallelDeterminism, InmemoryVectorAddBitExact) {
 
   util::set_thread_count(1);
   const arith::VectorAddOutcome ref =
-      arith::inmemory_vector_add(a, b, 8, em());
+      arith::inmemory_vector_add(a, b, 8);
   EXPECT_EQ(ref.cycles, 12u * 8u + 1u);
   for (std::size_t k = 0; k < kCount; ++k)
     EXPECT_EQ(ref.sums[k], a[k] + b[k]);
@@ -274,10 +270,10 @@ TEST(ParallelDeterminism, InmemoryVectorAddBitExact) {
   for (std::size_t threads : kThreadSweep) {
     util::set_thread_count(threads);
     const arith::VectorAddOutcome got =
-        arith::inmemory_vector_add(a, b, 8, em());
+        arith::inmemory_vector_add(a, b, 8);
     EXPECT_EQ(got.sums, ref.sums) << "threads=" << threads;
     EXPECT_EQ(got.cycles, ref.cycles) << "threads=" << threads;
-    EXPECT_EQ(got.energy_ops_pj, ref.energy_ops_pj) << "threads=" << threads;
+    EXPECT_EQ(got.energy, ref.energy) << "threads=" << threads;
   }
 }
 
@@ -302,7 +298,7 @@ TEST(ParallelDeterminism, AppKernelAndDeviceStatsBitExact) {
         << "threads=" << threads;
     EXPECT_EQ(device.stats().cycles, ref_device.stats().cycles)
         << "threads=" << threads;
-    EXPECT_EQ(device.stats().energy_ops_pj, ref_device.stats().energy_ops_pj)
+    EXPECT_EQ(device.stats().energy, ref_device.stats().energy)
         << "threads=" << threads;
   }
 }
@@ -376,10 +372,10 @@ TEST(DegenerateInputs, EmptyVectorAddsAreZeroed) {
 
   const std::vector<std::uint64_t> none;
   const arith::VectorAddOutcome engine =
-      arith::inmemory_vector_add(none, none, 32, em());
+      arith::inmemory_vector_add(none, none, 32);
   EXPECT_TRUE(engine.sums.empty());
   EXPECT_EQ(engine.cycles, 0u);
-  EXPECT_EQ(engine.energy_ops_pj, 0.0);
+  EXPECT_EQ(engine.energy, device::EnergyLedger{});
 }
 
 }  // namespace

@@ -28,10 +28,6 @@ using crossbar::BlockedCrossbar;
 using crossbar::CellAddr;
 using crossbar::CrossbarConfig;
 
-const device::EnergyModel& em() {
-  return device::EnergyModel::paper_defaults();
-}
-
 // ------------------------------------------------------------- residue --
 
 TEST(Residue, ExactResultsAlwaysMatch) {
@@ -66,25 +62,30 @@ TEST(Residue, EverySingleBitCorruptionIsCaught) {
 }
 
 TEST(Residue, CostScalesWithCheckedBits) {
-  const ResidueCost small = residue_check_cost(32, em());
-  const ResidueCost large = residue_check_cost(128, em());
+  const ResidueCost small = residue_check_cost(32);
+  const ResidueCost large = residue_check_cost(128);
   EXPECT_EQ(small.cycles, 16u);
   EXPECT_EQ(large.cycles, 64u);
-  EXPECT_GT(small.energy_pj, 0.0);
-  EXPECT_DOUBLE_EQ(large.energy_pj, 4.0 * small.energy_pj);
+  EXPECT_EQ(small.energy, (device::EnergyLedger{.sa_reads = 32}));
+  EXPECT_EQ(large.energy, (device::EnergyLedger{.sa_reads = 128}));
 }
 
 // ---------------------------------------------------------------- BIST --
 
 TEST(Bist, HealthyFabricIsNeverFlagged) {
   BlockedCrossbar xbar(CrossbarConfig{3, 16, 32});
-  const MarchReport report = march_scan(xbar, 1, 0, 16, 0, 32, em());
+  const MarchReport report = march_scan(xbar, 1, 0, 16, 0, 32);
   EXPECT_TRUE(report.faulty_rows.empty());
   EXPECT_EQ(report.rows_scanned, 16u);
   EXPECT_EQ(report.cells_tested, 16u * 32u);
   // W0 R0 W1 R1 W0: five row-parallel cycles per row.
   EXPECT_EQ(report.cost.cycles, 16u * 5u);
-  EXPECT_GT(report.cost.energy_pj, 0.0);
+  // Three row writes and two readbacks per cell; from a zero background
+  // only W1 and the restoring W0 flip cells.
+  EXPECT_EQ(report.cost.energy,
+            (device::EnergyLedger{.switches = 2u * 16u * 32u,
+                                  .write_drivers = 3u * 16u * 32u,
+                                  .sa_reads = 2u * 16u * 32u}));
 }
 
 TEST(Bist, EverySeededStuckAtInScannedRegionIsFlagged) {
@@ -95,7 +96,7 @@ TEST(Bist, EverySeededStuckAtInScannedRegionIsFlagged) {
       for (const bool value : {false, true}) {
         BlockedCrossbar xbar(CrossbarConfig{2, 8, 8});
         xbar.block(1).inject_stuck_at(row, col, value);
-        const MarchReport report = march_scan(xbar, 1, 0, 8, 0, 8, em());
+        const MarchReport report = march_scan(xbar, 1, 0, 8, 0, 8);
         ASSERT_EQ(report.faulty_rows.size(), 1u)
             << "row=" << row << " col=" << col << " value=" << value;
         EXPECT_EQ(report.faulty_rows[0], row);
@@ -107,14 +108,14 @@ TEST(Bist, EverySeededStuckAtInScannedRegionIsFlagged) {
 TEST(Bist, ScanChargesWearOnTheFabric) {
   BlockedCrossbar xbar(CrossbarConfig{2, 8, 8});
   const std::uint64_t before = xbar.total_switches();
-  (void)march_scan(xbar, 1, 0, 8, 0, 8, em());
+  (void)march_scan(xbar, 1, 0, 8, 0, 8);
   EXPECT_GT(xbar.total_switches(), before);
 }
 
 TEST(Bist, ScanRespectsRowAndColumnBounds) {
   BlockedCrossbar xbar(CrossbarConfig{2, 8, 16});
   xbar.block(1).inject_stuck_at(6, 12, true);  // Outside the scanned window.
-  const MarchReport report = march_scan(xbar, 1, 0, 4, 0, 8, em());
+  const MarchReport report = march_scan(xbar, 1, 0, 4, 0, 8);
   EXPECT_TRUE(report.faulty_rows.empty());
 }
 
@@ -153,7 +154,7 @@ TEST(SpareRows, RemappingTwiceBurnsTheNextSpare) {
 TEST(SpareRows, ScanAndRepairRestoresAFaultyRow) {
   BlockedCrossbar xbar(CrossbarConfig{2, 8, 8, 2});
   xbar.block(1).inject_stuck_at(2, 4, true);
-  const RepairReport report = scan_and_repair(xbar, 1, 0, 8, 0, 8, em());
+  const RepairReport report = scan_and_repair(xbar, 1, 0, 8, 0, 8);
   EXPECT_EQ(report.faulty_rows, 1u);
   EXPECT_EQ(report.spares_used, 1u);
   EXPECT_EQ(report.unrepaired_rows, 0u);
@@ -161,14 +162,14 @@ TEST(SpareRows, ScanAndRepairRestoresAFaultyRow) {
   xbar.set(CellAddr{1, 2, 4}, false);
   EXPECT_FALSE(xbar.get(CellAddr{1, 2, 4}));
   // And a re-scan finds a clean region.
-  EXPECT_TRUE(march_scan(xbar, 1, 0, 8, 0, 8, em()).faulty_rows.empty());
+  EXPECT_TRUE(march_scan(xbar, 1, 0, 8, 0, 8).faulty_rows.empty());
 }
 
 TEST(SpareRows, DefectiveSparesAreBurnedAndRetested) {
   BlockedCrossbar xbar(CrossbarConfig{2, 8, 8, 2});
   xbar.block(1).inject_stuck_at(2, 4, true);
   xbar.block(1).inject_stuck_at(8, 1, false);  // First spare is bad too.
-  const RepairReport report = scan_and_repair(xbar, 1, 0, 8, 0, 8, em());
+  const RepairReport report = scan_and_repair(xbar, 1, 0, 8, 0, 8);
   EXPECT_EQ(report.faulty_rows, 1u);
   EXPECT_EQ(report.spares_used, 2u);
   EXPECT_EQ(report.unrepaired_rows, 0u);
@@ -179,7 +180,7 @@ TEST(SpareRows, RepairReportsUnrepairableRows) {
   BlockedCrossbar xbar(CrossbarConfig{2, 8, 8, /*spare_rows=*/1});
   xbar.block(1).inject_stuck_at(2, 4, true);
   xbar.block(1).inject_stuck_at(5, 0, false);
-  const RepairReport report = scan_and_repair(xbar, 1, 0, 8, 0, 8, em());
+  const RepairReport report = scan_and_repair(xbar, 1, 0, 8, 0, 8);
   EXPECT_EQ(report.faulty_rows, 2u);
   EXPECT_EQ(report.spares_used, 1u);
   EXPECT_EQ(report.unrepaired_rows, 1u);
@@ -210,7 +211,7 @@ TEST(Quarantine, BistQuarantinesTheDefectiveBandOnly) {
   xbar.block(1).inject_stuck_at(5, 3, true);  // Band 1 = rows [4, 8).
   BistCost cost;
   const std::size_t quarantined =
-      quarantine_faulty_bands(xbar, 1, bands, 4, 0, 8, em(), cost);
+      quarantine_faulty_bands(xbar, 1, bands, 4, 0, 8, cost);
   EXPECT_EQ(quarantined, 1u);
   EXPECT_FALSE(bands.band_quarantined(0));
   EXPECT_TRUE(bands.band_quarantined(1));
@@ -293,7 +294,10 @@ TEST(DevicePolicy, DetectionCostsCyclesAndEnergy) {
   core::ApimDevice device{cfg};
   EXPECT_EQ(device.mul_magnitude(1234, 567), 1234u * 567u);
   EXPECT_GT(device.stats().cycles, baseline.stats().cycles);
-  EXPECT_GT(device.stats().energy_ops_pj, baseline.stats().energy_ops_pj);
+  // The residue check adds SA reads and nothing else.
+  device::EnergyLedger checked = baseline.stats().energy;
+  checked.sa_reads += residue_check_cost(4 * cfg.word_bits).energy.sa_reads;
+  EXPECT_EQ(device.stats().energy, checked);
 }
 
 TEST(DevicePolicy, RepairRetriesOnHealthyDomainAndCorrects) {
@@ -346,11 +350,14 @@ TEST(DevicePolicy, TripleVoteOutvotesASingleFaultyDomain) {
   EXPECT_EQ(device.stats().faults_detected, 1u);
   EXPECT_EQ(device.stats().retries, 0u);
 
-  // The redundant copies triple the op energy (plus the vote step).
+  // The redundant copies triple the op's events (plus the vote step).
   core::ApimDevice baseline{small_device_config()};
   (void)baseline.mul_magnitude(2, 3);
-  EXPECT_GT(device.stats().energy_ops_pj,
-            3.0 * baseline.stats().energy_ops_pj);
+  device::EnergyLedger tripled = baseline.stats().energy;
+  tripled += baseline.stats().energy;
+  tripled += baseline.stats().energy;
+  tripled.maj_reads += 2 * small_device_config().word_bits;
+  EXPECT_EQ(device.stats().energy, tripled);
 }
 
 TEST(DevicePolicy, TripleVoteWorksUnderApproximation) {

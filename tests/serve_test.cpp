@@ -258,7 +258,7 @@ TEST(ServeExecutor, MoreLanesShrinkMakespan) {
   EXPECT_LT(wide.makespan, narrow.makespan);
   // Work and energy are lane-independent.
   EXPECT_EQ(wide.total_lane_cycles, narrow.total_lane_cycles);
-  EXPECT_EQ(wide.stats.energy_ops_pj, narrow.stats.energy_ops_pj);
+  EXPECT_EQ(wide.stats.energy, narrow.stats.energy);
 }
 
 TEST(ServeExecutor, LanesClampedToOpCount) {
@@ -277,7 +277,7 @@ TEST(ServeExecutor, EmptyBatchIsZeroed) {
   EXPECT_EQ(b.lanes_used, 0u);
   EXPECT_EQ(b.energy_pj, 0.0);
   EXPECT_EQ(b.stats.cycles, 0u);
-  EXPECT_EQ(b.stats.energy_ops_pj, 0.0);
+  EXPECT_EQ(b.stats.energy, device::EnergyLedger{});
   EXPECT_EQ(b.stats.multiplies, 0u);
 }
 

@@ -22,10 +22,6 @@ namespace {
 using arith::serial_add_cycles;
 using arith::VectorAddOutcome;
 
-const device::EnergyModel& em() {
-  return device::EnergyModel::paper_defaults();
-}
-
 std::pair<std::vector<std::uint64_t>, std::vector<std::uint64_t>>
 random_vectors(std::size_t k, unsigned n, std::uint64_t seed) {
   util::Xoshiro256 rng(seed);
@@ -65,30 +61,34 @@ TEST(VectorAdd, LatencyIsIndependentOfLaneCount) {
     const serve::BatchExecution served = served_add(a, b, 16);
     EXPECT_EQ(served.makespan, serial_add_cycles(16)) << "k=" << k;
     EXPECT_EQ(served.lanes_used, 1u) << "k=" << k;
-    const VectorAddOutcome engine = arith::inmemory_vector_add(a, b, 16, em());
+    const VectorAddOutcome engine = arith::inmemory_vector_add(a, b, 16);
     EXPECT_EQ(engine.cycles, serial_add_cycles(16)) << "k=" << k;
   }
 }
 
 TEST(VectorAdd, EnergyScalesLinearlyWithLanes) {
-  const auto [a1, b1] = random_vectors(4, 16, 133);
-  const auto [a2, b2] = random_vectors(8, 16, 133);  // Superset stats-wise.
-  const double e1 = served_add(a1, b1, 16).stats.energy_ops_pj;
-  const double e2 = served_add(a2, b2, 16).stats.energy_ops_pj;
-  EXPECT_NEAR(e2 / e1, 2.0, 0.2);  // Random data: ~2x within noise.
+  // Events add per lane: eight lanes cost exactly their two halves.
+  const auto [a, b] = random_vectors(8, 16, 133);
+  const auto half = [&](std::size_t lo) {
+    return served_add({a.begin() + lo, a.begin() + lo + 4},
+                      {b.begin() + lo, b.begin() + lo + 4}, 16)
+        .stats.energy;
+  };
+  device::EnergyLedger halves = half(0);
+  halves += half(4);
+  EXPECT_EQ(served_add(a, b, 16).stats.energy, halves);
 }
 
 TEST(VectorAdd, EngineMatchesFastModelExactly) {
   // The served word-tier batch against the crossbar engine: same sums, the
-  // batch's row-parallel makespan is the engine's pass, same energy up to
-  // summation order.
+  // batch's row-parallel makespan is the engine's pass, same ledger.
   for (std::size_t k : {1u, 3u, 8u}) {
     const auto [a, b] = random_vectors(k, 12, 134 + k);
     const serve::BatchExecution served = served_add(a, b, 12);
-    const VectorAddOutcome engine = arith::inmemory_vector_add(a, b, 12, em());
+    const VectorAddOutcome engine = arith::inmemory_vector_add(a, b, 12);
     ASSERT_EQ(served.values[0], engine.sums) << "k=" << k;
     ASSERT_EQ(served.makespan, engine.cycles);
-    ASSERT_NEAR(served.stats.energy_ops_pj, engine.energy_ops_pj, 1e-9);
+    ASSERT_EQ(served.stats.energy, engine.energy);
   }
 }
 
@@ -98,7 +98,7 @@ TEST(VectorAdd, EmptyInput) {
   EXPECT_TRUE(served.values[0].empty());
   EXPECT_EQ(served.makespan, 0u);
   const VectorAddOutcome engine =
-      arith::inmemory_vector_add(none, none, 16, em());
+      arith::inmemory_vector_add(none, none, 16);
   EXPECT_TRUE(engine.sums.empty());
   EXPECT_EQ(engine.cycles, 0u);
 }
