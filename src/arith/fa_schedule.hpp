@@ -10,11 +10,13 @@
 // step when the 12 evaluations run bit-parallel.
 //
 // This table is the single source of truth for that schedule: the bit-level
-// engine (src/arith/inmemory_fa.*) executes it on crossbar cells, and the
-// word-level models (src/arith/word_models.*) derive their per-triple
-// energy table from its per-step events and mirror it in the unrolled
-// word_fa_stage. Property tests assert the levels agree on values, cycles
-// and energy, so the schedule cannot drift between them.
+// engine (src/arith/inmemory_fa.*) executes it on crossbar cells, counting
+// each evaluation's events (inputs at one and zero, output switch) into an
+// energy ledger, and the word-level models (src/arith/word_models.*) walk it
+// once per input triple at compile time into kFaLedger, so a word's events
+// are the triple-class populations times those rows. Events are counted,
+// then priced once; property tests assert the levels agree on values,
+// cycles and ledgers, so the schedule cannot drift between them.
 #pragma once
 
 #include <array>
