@@ -14,7 +14,7 @@
 //
 // A second section A/B-tests the simulation tier itself: the same
 // saturation trace through Backend::kFast (scalar word models) and
-// Backend::kBitsliced (64-lane bit-plane slices). Every simulated number
+// Backend::kBitsliced (64-lane slices). Every simulated number
 // is bit-identical between the two — the section asserts that — so the
 // only difference is HOST wall-clock cost, reported per tier as req/s, as
 // requests per run of a fixed reference kernel (bench::reference_unit_s,

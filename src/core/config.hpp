@@ -21,8 +21,8 @@ enum class Backend {
   kBitLevel,
   /// Bitsliced batch tier (arith/bitsliced.hpp): ApimDevice::run_batch
   /// runs op kinds whose core/op_kernel.hpp row has a slice kernel in
-  /// 64-lane bit-plane slices, values/cycles/energy bit-identical to kFast
-  /// (itself bit-identical to the engine). Scalar ops and kinds without a
+  /// 64-lane slices, values/cycles/energy bit-identical to kFast (itself
+  /// bit-identical to the engine). Scalar ops and kinds without a
   /// slice kernel run the word models, so results never depend on call
   /// granularity.
   kBitsliced,
