@@ -27,11 +27,10 @@ using namespace apim;
 /// (crossbar::RotatingScratchAllocator), the wear-leveling a production
 /// design would use.
 device::EnduranceReport run_adder_wear(unsigned n, int ops,
-                                       const device::EnergyModel& em,
                                        bool rotate = false) {
   crossbar::BlockedCrossbar xbar(
       crossbar::CrossbarConfig{2, 64, std::max<std::size_t>(n + 1, 8)});
-  magic::MagicEngine engine(xbar, em);
+  magic::MagicEngine engine(xbar);
   util::Xoshiro256 rng(900 + n);
   crossbar::RotatingScratchAllocator bands(/*first_row=*/2, /*rows=*/52,
                                            /*band_rows=*/13);
@@ -64,12 +63,10 @@ device::EnduranceReport run_adder_wear(unsigned n, int ops,
 
 int main() {
   using namespace apim;
-  const auto& em = device::EnergyModel::paper_defaults();
-
   std::puts("=== Extension: memristor wear under sustained in-memory adds ===");
   std::puts("(500 random 16-bit serial additions on one fabric)\n");
 
-  const device::EnduranceReport report = run_adder_wear(16, 500, em);
+  const device::EnduranceReport report = run_adder_wear(16, 500);
   std::printf("total switches: %llu | worst cell: %u | mean/cell: %.2f | "
               "imbalance: %.1fx\n",
               static_cast<unsigned long long>(report.total_switches),
@@ -117,7 +114,7 @@ int main() {
                      0.5, 4.0);
 
   // Mitigation: rotate the scratch band (4 candidate bands).
-  const device::EnduranceReport rotated = run_adder_wear(16, 500, em,
+  const device::EnduranceReport rotated = run_adder_wear(16, 500,
                                                          /*rotate=*/true);
   const double wear_reduction =
       static_cast<double>(report.worst_cell_switches) /

@@ -42,7 +42,7 @@ TEST(Endurance, ScratchCellsWearFasterThanData) {
   // operation while the operand rows flip rarely — the wear-imbalance
   // problem of compute-in-memory.
   BlockedCrossbar xbar(CrossbarConfig{1, 16, 20});
-  magic::MagicEngine engine(xbar, EnergyModel::paper_defaults());
+  magic::MagicEngine engine(xbar);
   const unsigned n = 8;
   for (unsigned i = 0; i < n; ++i) {
     xbar.block(0).set(0, i, (i % 2) != 0);

@@ -16,10 +16,6 @@
 namespace apim::crossbar {
 namespace {
 
-const device::EnergyModel& em() {
-  return device::EnergyModel::paper_defaults();
-}
-
 TEST(FaultInjection, StuckCellIgnoresWrites) {
   CrossbarBlock block(4, 4);
   block.inject_stuck_at(1, 1, true);
@@ -55,7 +51,7 @@ TEST(FaultInjection, MagicNorOnFaultyOutputCell) {
   // A scratch cell stuck at '1' cannot be RESET by the NOR evaluation, so
   // the op silently produces 1 regardless of inputs.
   BlockedCrossbar xbar(CrossbarConfig{1, 4, 4});
-  magic::MagicEngine engine(xbar, em());
+  magic::MagicEngine engine(xbar);
   xbar.block(0).inject_stuck_at(0, 2, true);
   xbar.set(CellAddr{0, 0, 0}, true);  // An input at '1': NOR must give 0.
   std::vector<CellAddr> init{CellAddr{0, 0, 2}};
@@ -77,7 +73,7 @@ TEST(FaultInjectionStudy, SparseFaultsDegradeGracefully) {
   const int kTrials = 60;
   for (int t = 0; t < kTrials; ++t) {
     BlockedCrossbar xbar(CrossbarConfig{2, 16, 40});
-    magic::MagicEngine engine(xbar, em());
+    magic::MagicEngine engine(xbar);
     const unsigned n = 16;
     const std::uint64_t a = rng.next() & util::low_mask(n);
     const std::uint64_t b = rng.next() & util::low_mask(n);

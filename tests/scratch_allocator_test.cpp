@@ -32,10 +32,9 @@ TEST(ScratchAllocator, BandBaseIsStable) {
 }
 
 double run_adds_and_get_imbalance(bool rotate, int ops) {
-  const auto& em = device::EnergyModel::paper_defaults();
   const unsigned n = 8;
   BlockedCrossbar xbar(CrossbarConfig{1, 64, 16});
-  magic::MagicEngine engine(xbar, em);
+  magic::MagicEngine engine(xbar);
   util::Xoshiro256 rng(7);
   // Four candidate bands of 13 rows starting at row 2.
   RotatingScratchAllocator alloc(2, 52, 13);

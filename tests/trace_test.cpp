@@ -17,9 +17,7 @@ using crossbar::CrossbarConfig;
 
 class TraceTest : public ::testing::Test {
  protected:
-  TraceTest()
-      : xbar_(CrossbarConfig{2, 32, 32}),
-        engine_(xbar_, device::EnergyModel::paper_defaults()) {
+  TraceTest() : xbar_(CrossbarConfig{2, 32, 32}), engine_(xbar_) {
     engine_.attach_tracer(&tracer_);
   }
   BlockedCrossbar xbar_;
