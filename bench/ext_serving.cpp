@@ -173,8 +173,8 @@ int main(int argc, char** argv) {
   // simulated outcome must be bit-identical (the equivalence gate's
   // property, re-checked here end to end); the host wall-clock is not.
   // Heavier requests than the sweep (16 ops each) so the arithmetic
-  // kernels dominate host time rather than the scheduler bookkeeping --
-  // that is the regime the bitsliced tier exists for -- and a mul/add mix
+  // kernels dominate host time rather than the scheduler bookkeeping (both
+  // tiers run the same word kernels) -- and a mul/add mix
   // so the A/B equality check covers both device batch entry points.
   LoadGenConfig ab_gen;
   ab_gen.requests = requests;

@@ -11,7 +11,6 @@
 #include <utility>
 #include <vector>
 
-#include "arith/bitsliced.hpp"
 #include "arith/fast_units.hpp"
 #include "arith/inmemory_units.hpp"
 #include "arith/word_models.hpp"
@@ -108,30 +107,13 @@ void BM_FastMultiplyBatch10k(benchmark::State& state) {
 }
 BENCHMARK(BM_FastMultiplyBatch10k)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
-// The same batch on the bitsliced tier: comparing items_per_second against
-// BM_FastMultiplyBatch10k at the same Arg gives the host-side cost of
-// dispatching in 64-lane slices.
+// The same batch on the bitsliced backend, which runs the same word
+// kernels: items_per_second should match BM_FastMultiplyBatch10k at the
+// same Arg.
 void BM_BitslicedMultiplyBatch10k(benchmark::State& state) {
   run_multiply_batch_10k(state, core::Backend::kBitsliced);
 }
 BENCHMARK(BM_BitslicedMultiplyBatch10k)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
-// One 64-lane slice of standalone adds (no tree stage), per lane.
-void BM_BitslicedAddSlice(benchmark::State& state) {
-  util::Xoshiro256 rng(7);
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> ops;
-  for (std::size_t i = 0; i < arith::kBitsliceLanes; ++i)
-    ops.emplace_back(rng.next() & util::low_mask(32),
-                     rng.next() & util::low_mask(32));
-  std::vector<arith::AddOutcome> out(ops.size());
-  for (auto _ : state) {
-    arith::bitsliced_add_slice(ops, 32, 0, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(ops.size()));
-}
-BENCHMARK(BM_BitslicedAddSlice);
 
 void BM_DeviceMac(benchmark::State& state) {
   core::ApimDevice dev;

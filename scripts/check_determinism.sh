@@ -19,7 +19,12 @@
 #     priced once by EnergyModel::price, so it cannot depend on the order
 #     ops, batches or waves run in; a double summed at an op site would
 #     bring that order back. The health scrub's closed form
-#     (src/serve/health.cpp) is the one priced figure above the device.
+#     (src/serve/health.cpp) is the one priced figure above the device;
+#   * a `Backend::k...` enumerator outside src/core/config.hpp, where the
+#     enum is declared, and src/core/apim.cpp, where ApimDevice::run_op
+#     picks the engine or the word model. One branch on the backend keeps
+#     every tier on the same op-kernel rows, so a layer above the device
+#     cannot grow a second path that the cross-backend gates miss.
 #
 # Matching happens on a //-comment-stripped view of each file so prose may
 # mention the banned names. Exits 1 with file:line diagnostics, 0 clean.
@@ -57,6 +62,21 @@ while IFS= read -r file; do
       ;;
   esac
 
+  # The backend: branched on in one place.
+  case "$file" in
+    src/core/apim.cpp | src/core/config.hpp) ;;
+    *)
+      found=$(sed 's|//.*||' "$file" | grep -nE 'Backend::k' || true)
+      if [[ -n "$found" ]]; then
+        while IFS= read -r hit; do
+          echo "$file:${hit%%:*}: error: backend branch outside" \
+               "ApimDevice::run_op (src/core/apim.cpp): ${hit#*:}" | tr -s ' '
+        done <<<"$found"
+        status=1
+      fi
+      ;;
+  esac
+
   # Unordered containers: declarations (not #include lines) need the
   # determinism-audited annotation nearby.
   if ! awk -v file="$file" '
@@ -78,5 +98,5 @@ if [[ "$status" -ne 0 ]]; then
   echo "check_determinism: FAILED (hazards above)"
   exit 1
 fi
-echo "check_determinism: src/ is free of nondeterminism hazards and" \
-  "prices energy only at the pricing boundary."
+echo "check_determinism: src/ is free of nondeterminism hazards, prices" \
+  "energy only at the pricing boundary and branches on the backend once."

@@ -15,15 +15,12 @@
 // operands fed to the existing Wallace 3:2 reduction, so it inherits the
 // tree-add latency/energy laws unchanged.
 //
-// All three backends are provided with the usual fidelity contract:
-// `inmemory_compare` (engine), `fast_compare` (word) and
-// `bitsliced_compare_slice` (bitsliced.hpp) agree exactly on value, cycles
-// and the energy ledger (the slice runs fast_compare per lane).
+// Both tiers are provided with the usual fidelity contract:
+// `inmemory_compare` (engine) and `fast_compare` (word) agree exactly on
+// value, cycles and the energy ledger.
 #pragma once
 
 #include <cstdint>
-#include <span>
-#include <utility>
 
 #include "arith/fast_units.hpp"
 #include "arith/inmemory_units.hpp"

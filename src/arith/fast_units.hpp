@@ -33,8 +33,7 @@ struct MultiplyOutcome {
 /// reduction (word_tree_reduce). Returns the outcome so far with `product`
 /// holding the first final-add addend (with at most one partial product,
 /// the whole product) and writes the second addend to `*y` (0 with at
-/// most one partial). fast_multiply and the bitsliced multiplier both run
-/// it; neither allocates.
+/// most one partial). Does not allocate.
 [[nodiscard]] MultiplyOutcome multiply_front(std::uint64_t a, std::uint64_t b,
                                              unsigned n, unsigned mask_bits,
                                              std::uint64_t* y);

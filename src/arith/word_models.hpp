@@ -10,9 +10,7 @@
 // workloads run on these models; the engine exists to validate them and
 // to ground the microbenchmarks.
 //
-// The bitsliced tier (bitsliced.hpp) counts its lanes' events with the
-// same kernels. None of them allocates for a multiply or a 64-bit
-// popcount.
+// None of them allocates for a multiply or a 64-bit popcount.
 //
 // Accounting convention: kernels count micro-op events into a
 // device::EnergyLedger and take no EnergyModel. Integer counts add in any

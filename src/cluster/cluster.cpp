@@ -21,8 +21,10 @@ std::uint64_t payload_bits(std::size_t ops, unsigned width) {
   return static_cast<std::uint64_t>(ops) * 2u * width;
 }
 
-/// A zero chip or shard count or a 0-bit link describes no cluster: fail
-/// closed instead of running a different one than asked.
+/// A zero chip or shard count, a 0-bit link, an EWMA weight outside
+/// (0, 1], or a fault schedule or placement pin naming a chip or shard
+/// that does not exist describes no cluster: fail closed instead of
+/// running a different one than asked.
 ClusterConfig validated(ClusterConfig cfg) {
   if (cfg.chips == 0)
     throw std::invalid_argument("cluster::Cluster: chips must be >= 1");
@@ -31,6 +33,19 @@ ClusterConfig validated(ClusterConfig cfg) {
   if (cfg.interconnect.link_bits == 0)
     throw std::invalid_argument(
         "cluster::Cluster: interconnect.link_bits must be >= 1");
+  // Written so that NaN fails too.
+  if (!(cfg.rebalance.ewma_alpha > 0.0 && cfg.rebalance.ewma_alpha <= 1.0))
+    throw std::invalid_argument(
+        "cluster::Cluster: rebalance.ewma_alpha must be in (0, 1]");
+  if (!cfg.chip_fault_schedules.empty() &&
+      cfg.chip_fault_schedules.rbegin()->first >= cfg.chips)
+    throw std::invalid_argument(
+        "cluster::Cluster: chip_fault_schedules names a chip >= chips");
+  for (const auto& [shard, chip] : cfg.placement_overrides)
+    if (shard >= cfg.shards || chip >= cfg.chips)
+      throw std::invalid_argument(
+          "cluster::Cluster: placement_overrides pins a shard >= shards or "
+          "a chip >= chips");
   return cfg;
 }
 

@@ -68,14 +68,15 @@ struct ClusterConfig {
   InterconnectConfig interconnect{};
   RebalanceConfig rebalance{};
 
-  /// Pin shard -> chip, overriding the consistent-hash default.
+  /// Pin shard -> chip, overriding the consistent-hash default. Shards
+  /// must be < shards and chips < chips.
   std::map<std::size_t, std::size_t> placement_overrides;
 
   /// Per-chip serving configuration (replicated across chips).
   serve::ServerConfig server{};
   /// Per-chip health fault schedules for tests/benches that fault
   /// specific chips; a present entry replaces server.health.fault_schedule
-  /// on that chip only.
+  /// on that chip only. Keys must be < chips.
   std::map<std::size_t, std::vector<serve::health::DomainFaultEvent>>
       chip_fault_schedules;
 

@@ -36,7 +36,7 @@ struct RebalanceConfig {
   bool enabled = true;
   /// Virtual cycles between rebalance decisions.
   util::Cycles interval = 25000;
-  /// EWMA smoothing: weight of the newest interval's ops count.
+  /// EWMA smoothing: weight of the newest interval's ops count, in (0, 1].
   double ewma_alpha = 0.4;
   /// Migrate only when max chip load exceeds this multiple of the mean
   /// serving-chip load.

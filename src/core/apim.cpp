@@ -1,12 +1,8 @@
 #include "core/apim.hpp"
 
-#include <algorithm>
-#include <array>
-#include <cassert>
 #include <cstdlib>
 #include <stdexcept>
 
-#include "arith/bitsliced.hpp"
 #include "reliability/residue.hpp"
 #include "util/bitops.hpp"
 
@@ -30,45 +26,11 @@ std::uint64_t ApimDevice::run_op(OpKind op, std::uint64_t a,
                                  std::uint64_t b) {
   const OpKernel& k = op_kernel(op);
   const Operands ab{a, b};
-  OpOutcome r{};
-  execute(k, std::span(&ab, 1), std::span(&r, 1), /*may_slice=*/false);
-  return account(k, ab, r);
-}
-
-void ApimDevice::run_batch(OpKind op, std::span<const Operands> ops,
-                           std::span<std::uint64_t> values,
-                           std::span<util::Cycles> op_cycles) {
-  if (values.size() != ops.size() || op_cycles.size() != ops.size())
-    throw std::invalid_argument(
-        "ApimDevice::run_batch: values and op_cycles must match ops in size");
-  const OpKernel& k = op_kernel(op);
-  std::array<OpOutcome, arith::kBitsliceLanes> raw{};
-  for (std::size_t lo = 0; lo < ops.size(); lo += arith::kBitsliceLanes) {
-    const std::size_t m = std::min(arith::kBitsliceLanes, ops.size() - lo);
-    execute(k, ops.subspan(lo, m), std::span(raw.data(), m),
-            /*may_slice=*/true);
-    // Replay the scalar accounting per op, in op order.
-    for (std::size_t j = 0; j < m; ++j) {
-      const util::Cycles before = stats_.cycles;
-      values[lo + j] = account(k, ops[lo + j], raw[j]);
-      op_cycles[lo + j] = stats_.cycles - before;
-    }
-  }
-}
-
-void ApimDevice::execute(const OpKernel& k, std::span<const Operands> ops,
-                         std::span<OpOutcome> out, bool may_slice) const {
-  const Backend backend = config_.backend;
-  if (may_slice && backend == Backend::kBitsliced && k.slice != nullptr) {
-    k.slice(ops, config_, out);
-    return;
-  }
-  const auto scalar = backend == Backend::kBitLevel ? k.engine : k.word;
-  for (std::size_t i = 0; i < ops.size(); ++i) out[i] = scalar(ops[i], config_);
-}
-
-std::uint64_t ApimDevice::account(const OpKernel& k, Operands ab,
-                                  const OpOutcome& r) {
+  // The one place the backend is read: kFast and kBitsliced share the
+  // word models.
+  const auto execute =
+      config_.backend == Backend::kBitLevel ? k.engine : k.word;
+  const OpOutcome r = execute(ab, config_);
   // Op index BEFORE the increment: lane assignment and transient-fault
   // draws key off it, and it restarts per device clone, so host-parallel
   // chunking reproduces it for every thread count (apps/parallel.hpp).
@@ -82,6 +44,19 @@ std::uint64_t ApimDevice::account(const OpKernel& k, Operands ab,
   if (!config_.reliability.passive())
     value = protect_result(k, ab, r, op_index);
   return k.decode != nullptr ? k.decode(value, config_.word_bits) : value;
+}
+
+void ApimDevice::run_batch(OpKind op, std::span<const Operands> ops,
+                           std::span<std::uint64_t> values,
+                           std::span<util::Cycles> op_cycles) {
+  if (values.size() != ops.size() || op_cycles.size() != ops.size())
+    throw std::invalid_argument(
+        "ApimDevice::run_batch: values and op_cycles must match ops in size");
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    const util::Cycles before = stats_.cycles;
+    values[i] = run_op(op, ops[i].first, ops[i].second);
+    op_cycles[i] = stats_.cycles - before;
+  }
 }
 
 std::uint64_t ApimDevice::protect_result(const OpKernel& k, Operands ab,
@@ -211,7 +186,8 @@ std::int64_t ApimDevice::mac_int(std::int64_t acc, std::int64_t a,
 
 std::int64_t ApimDevice::dot_int(std::span<const std::int64_t> a,
                                  std::span<const std::int64_t> b) {
-  assert(a.size() == b.size());
+  if (a.size() != b.size())
+    throw std::invalid_argument("ApimDevice::dot_int: spans differ in size");
   std::int64_t acc = 0;
   for (std::size_t i = 0; i < a.size(); ++i) acc = mac_int(acc, a[i], b[i]);
   return acc;
@@ -219,8 +195,11 @@ std::int64_t ApimDevice::dot_int(std::span<const std::int64_t> a,
 
 void ApimDevice::parallel_region_end(util::Cycles begin_cycles,
                                      std::size_t ways) {
-  assert(ways >= 1);
-  assert(stats_.cycles >= begin_cycles);
+  if (ways == 0)
+    throw std::invalid_argument("ApimDevice::parallel_region_end: ways == 0");
+  if (begin_cycles > stats_.cycles)
+    throw std::invalid_argument(
+        "ApimDevice::parallel_region_end: begin_cycles is in the future");
   const util::Cycles issued = stats_.cycles - begin_cycles;
   const util::Cycles shared =
       (issued + static_cast<util::Cycles>(ways) - 1) /

@@ -86,16 +86,13 @@ class ApimDevice {
 
   // -- Batched magnitude operations ----------------------------------------
   //
-  // Semantically identical to calling the scalar op once per pair in order:
-  // op indices, fault draws, residue checks, retry ladders and every stats
-  // field replay per op, so values, cycles and energy are bit-identical to
-  // the scalar loop for EVERY backend. Under Backend::kBitsliced the raw
-  // per-op outcomes come from 64-lane bitsliced slices (for op kinds whose
-  // row has a slice kernel) instead of per-op word models — same numbers,
-  // a fraction of the host cost. `values[i]` receives op i's result;
-  // `op_cycles[i]` the device-cycle delta charged for op i (including
-  // protection and retries). Throws std::invalid_argument unless both
-  // spans match `ops` in size. Popcount ignores `ops[i].second`.
+  // A loop of the scalar op over the pairs in order, so op indices, fault
+  // draws, residue checks, retry ladders and every stats field are those
+  // of the scalar loop by construction, on every backend. `values[i]`
+  // receives op i's result; `op_cycles[i]` the device-cycle delta charged
+  // for op i (including protection and retries). Throws
+  // std::invalid_argument unless both spans match `ops` in size. Popcount
+  // ignores `ops[i].second`.
   void run_batch(OpKind op, std::span<const Operands> ops,
                  std::span<std::uint64_t> values,
                  std::span<util::Cycles> op_cycles);
@@ -141,7 +138,8 @@ class ApimDevice {
   [[nodiscard]] std::int64_t mac_int(std::int64_t acc, std::int64_t a,
                                      std::int64_t b);
 
-  /// Dot product over integer-scaled spans (serial MAC chain).
+  /// Dot product over integer-scaled spans (serial MAC chain). Throws
+  /// std::invalid_argument unless the spans match in size.
   [[nodiscard]] std::int64_t dot_int(std::span<const std::int64_t> a,
                                      std::span<const std::int64_t> b);
 
@@ -153,6 +151,8 @@ class ApimDevice {
   /// idealization is within 5% of the round-robin makespan serving charges
   /// at 4096 multiplies on 64 lanes
   /// (ServeExecutor.ImbalanceIsSmallForLargeBatches, tests/serve_test.cpp).
+  /// `parallel_region_end` throws std::invalid_argument on `ways == 0` or
+  /// a `begin_cycles` later than the device's cycle count.
   [[nodiscard]] util::Cycles parallel_region_begin() const noexcept {
     return stats_.cycles;
   }
@@ -205,20 +205,10 @@ class ApimDevice {
   [[nodiscard]] std::uint64_t clamp_magnitude(std::uint64_t m) const noexcept;
 
   /// One op of kind `op` through its core/op_kernel.hpp row: execute on the
-  /// configured tier, account, protect, decode.
+  /// configured tier (the one place the backend is read), account,
+  /// protect, decode.
   [[nodiscard]] std::uint64_t run_op(OpKind op, std::uint64_t a,
                                      std::uint64_t b);
-
-  /// Raw outcomes of `ops` (at most one slice) on the configured tier —
-  /// the one place the backend is read. Only batch callers may slice, so
-  /// scalar ops on kBitsliced run the word models.
-  void execute(const OpKernel& k, std::span<const Operands> ops,
-               std::span<OpOutcome> out, bool may_slice) const;
-
-  /// The per-op replay shared by the scalar and batch paths: op index,
-  /// stats, protection, decode. Returns the op's value.
-  [[nodiscard]] std::uint64_t account(const OpKernel& k, Operands ab,
-                                      const OpOutcome& r);
 
   /// Apply the configured fault state to a raw unit result and run the
   /// policy's detection/recovery machinery (see reliability/policy.hpp) in

@@ -19,12 +19,12 @@ enum class Backend {
   /// cells. Orders of magnitude slower on the host; use for audits and
   /// small workloads.
   kBitLevel,
-  /// Bitsliced batch tier (arith/bitsliced.hpp): ApimDevice::run_batch
-  /// runs op kinds whose core/op_kernel.hpp row has a slice kernel in
-  /// 64-lane slices, values/cycles/energy bit-identical to kFast (itself
-  /// bit-identical to the engine). Scalar ops and kinds without a
-  /// slice kernel run the word models, so results never depend on call
-  /// granularity.
+  /// The word tier under another name: ApimDevice runs the same word
+  /// models as kFast, so values, cycles and energy are identical. APIM's
+  /// row parallelism (one NOR schedule across every row of a block) is
+  /// modelled on the virtual clock by the serving lane model
+  /// (core::LaneModel), not by a separate host kernel. The name stays
+  /// because benchmarks and A/B gates select it.
   kBitsliced,
 };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 
-#include "arith/bitsliced.hpp"
 #include "arith/compare_units.hpp"
 #include "arith/fast_units.hpp"
 #include "arith/inmemory_units.hpp"
@@ -35,14 +34,6 @@ OpOutcome outcome(const arith::CompareOutcome& r) {
   return {r.sum, r.cycles, r.energy, 0};
 }
 
-/// Run a bitsliced slice kernel into its native outcomes, then convert.
-template <typename Outcome, typename Kernel>
-void sliced(std::span<OpOutcome> out, Kernel kernel) {
-  std::array<Outcome, arith::kBitsliceLanes> raw;
-  kernel(std::span(raw.data(), out.size()));
-  for (std::size_t i = 0; i < out.size(); ++i) out[i] = outcome(raw[i]);
-}
-
 unsigned word_plus_carry(unsigned n) { return n + 1; }
 
 constexpr std::array<OpKernel, 4> kKernels = {{
@@ -54,12 +45,6 @@ constexpr std::array<OpKernel, 4> kKernels = {{
      .word = [](Operands ab, const ApimConfig& c) {
        return outcome(arith::fast_multiply(ab.first, ab.second, c.word_bits,
                                            c.approx));
-     },
-     .slice = [](std::span<const Operands> ops, const ApimConfig& c,
-                 std::span<OpOutcome> out) {
-       sliced<arith::MultiplyOutcome>(out, [&](auto raw) {
-         arith::bitsliced_multiply_slice(ops, c.word_bits, c.approx, raw);
-       });
      },
      .counter = &ExecStats::multiplies,
      .out_bits = [](unsigned n) { return 2 * n; },
@@ -80,12 +65,6 @@ constexpr std::array<OpKernel, 4> kKernels = {{
        return outcome(arith::fast_add(ab.first, ab.second, c.word_bits,
                                       adder_relax(c)));
      },
-     .slice = [](std::span<const Operands> ops, const ApimConfig& c,
-                 std::span<OpOutcome> out) {
-       sliced<arith::AddOutcome>(out, [&](auto raw) {
-         arith::bitsliced_add_slice(ops, c.word_bits, adder_relax(c), raw);
-       });
-     },
      .counter = &ExecStats::additions,
      .out_bits = word_plus_carry,
      .exact = [](const ApimConfig& c) { return adder_relax(c) == 0; },
@@ -98,12 +77,6 @@ constexpr std::array<OpKernel, 4> kKernels = {{
      },
      .word = [](Operands ab, const ApimConfig& c) {
        return outcome(arith::fast_compare(ab.first, ab.second, c.word_bits));
-     },
-     .slice = [](std::span<const Operands> ops, const ApimConfig& c,
-                 std::span<OpOutcome> out) {
-       sliced<arith::CompareOutcome>(out, [&](auto raw) {
-         arith::bitsliced_compare_slice(ops, c.word_bits, raw);
-       });
      },
      .counter = &ExecStats::comparisons,
      .out_bits = word_plus_carry,
@@ -120,7 +93,7 @@ constexpr std::array<OpKernel, 4> kKernels = {{
               : ab.first == ab.second ? arith::kCmpEq
                                       : arith::kCmpGt;
      }},
-    // The Wallace tree-add of the operand's bits; no sliced kernel.
+    // The Wallace tree-add of the operand's bits.
     {.name = "popcnt",
      .engine = [](Operands ab, const ApimConfig& c) {
        return outcome(arith::inmemory_popcount(ab.first, c.word_bits));

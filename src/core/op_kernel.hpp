@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <utility>
 
 #include "core/config.hpp"
@@ -41,13 +40,10 @@ enum class LaneModel : std::uint8_t {
 
 struct OpKernel {
   const char* name;
-  /// Bit-level engine (Backend::kBitLevel) and word model (the other tiers).
+  /// Bit-level engine (Backend::kBitLevel) and word model (kFast and
+  /// kBitsliced both run it).
   OpOutcome (*engine)(Operands ab, const ApimConfig& cfg);
   OpOutcome (*word)(Operands ab, const ApimConfig& cfg);
-  /// Up to arith::kBitsliceLanes ops as one bitsliced slice, bit-identical
-  /// to `word` per lane. Null: the bitsliced tier runs `word` per op.
-  void (*slice)(std::span<const Operands> ops, const ApimConfig& cfg,
-                std::span<OpOutcome> out) = nullptr;
   std::uint64_t ExecStats::*counter;
 
   // -- Protection shape (ApimDevice::protect_result) ----------------------

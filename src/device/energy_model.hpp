@@ -9,7 +9,7 @@
 // the operating point, and periphery costs from PeripheryParams.
 //
 // Every tier counts events instead of summing picojoules: the MAGIC
-// engine, the word models and the bitsliced slices each fill an
+// engine and the word models each fill an
 // EnergyLedger with integer counts (NOR inputs at one and at zero, output
 // switches, inits, write drivers, SA reads, MAJ reads, interconnect
 // bit-hops). Counts add associatively, so any tier, batch order or wave

@@ -209,9 +209,11 @@ MetricsSnapshot Metrics::snapshot() const {
   if (saw_arrival_ && last_completion_ > first_arrival_)
     s.span_cycles = last_completion_ - first_arrival_;
   if (!latency_samples_.empty()) {
-    s.p50_latency_cycles = util::percentile(latency_samples_, 0.50);
-    s.p95_latency_cycles = util::percentile(latency_samples_, 0.95);
-    s.p99_latency_cycles = util::percentile(latency_samples_, 0.99);
+    std::vector<double> sorted = latency_samples_;
+    std::sort(sorted.begin(), sorted.end());
+    s.p50_latency_cycles = util::percentile(sorted, 0.50);
+    s.p95_latency_cycles = util::percentile(sorted, 0.95);
+    s.p99_latency_cycles = util::percentile(sorted, 0.99);
     double sum = 0.0;
     for (const double l : latency_samples_) sum += l;
     s.mean_latency_cycles = sum / static_cast<double>(latency_samples_.size());

@@ -26,15 +26,15 @@ double RunningStats::variance() const noexcept {
 
 double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
 
-double percentile(std::vector<double> values, double p) {
+double percentile(std::span<const double> sorted, double p) {
   assert(p >= 0.0 && p <= 1.0);
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  const double pos = p * static_cast<double>(values.size() - 1);
+  assert(std::is_sorted(sorted.begin(), sorted.end()));
+  if (sorted.empty()) return 0.0;
+  const double pos = p * static_cast<double>(sorted.size() - 1);
   const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, values.size() - 1);
+  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
   const double frac = pos - static_cast<double>(lo);
-  return values[lo] * (1.0 - frac) + values[hi] * frac;
+  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
 }
 
 double geometric_mean(const std::vector<double>& values) {

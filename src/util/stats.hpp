@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 namespace apim::util {
@@ -30,12 +31,12 @@ class RunningStats {
   double sum_ = 0.0;
 };
 
-/// p in [0,1]; linear interpolation between order statistics (the
-/// convention serve::Metrics latency percentiles are pinned to): at
-/// position p*(n-1), p=0 is the minimum, p=1 the maximum, a single
-/// sample is every percentile, and empty input yields 0.0. Copies and
-/// sorts, so intended for offline analysis, not hot loops.
-[[nodiscard]] double percentile(std::vector<double> values, double p);
+/// p in [0,1] over ascending `sorted` samples; linear interpolation
+/// between order statistics (the convention serve::Metrics latency
+/// percentiles are pinned to): at position p*(n-1), p=0 is the minimum,
+/// p=1 the maximum, a single sample is every percentile, and empty input
+/// yields 0.0. Sort once, then read as many percentiles as needed.
+[[nodiscard]] double percentile(std::span<const double> sorted, double p);
 
 /// Geometric mean; values must be positive.
 [[nodiscard]] double geometric_mean(const std::vector<double>& values);

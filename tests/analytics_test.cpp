@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "analytics_harness.hpp"
-#include "arith/bitsliced.hpp"
 #include "arith/compare_units.hpp"
 #include "arith/inmemory_units.hpp"
 #include "core/apim.hpp"
@@ -188,18 +187,23 @@ TEST(CompareKernel, BitslicedBitIdenticalToWordModel) {
     std::vector<std::pair<std::uint64_t, std::uint64_t>> ops;
     for (int i = 0; i < 64; ++i)
       ops.emplace_back(rng.next() & mask, rng.next() & mask);
-    ops[7].second = ops[7].first;  // One guaranteed tie per slice.
-    std::vector<apim::arith::CompareOutcome> out(ops.size());
-    apim::arith::bitsliced_compare_slice(ops, n, out);
+    ops[7].second = ops[7].first;  // One guaranteed tie per batch.
+    apim::core::ApimConfig cfg;
+    cfg.word_bits = n;
+    cfg.backend = apim::core::Backend::kBitsliced;
+    apim::core::ApimDevice device{cfg};
+    std::vector<std::uint64_t> codes(ops.size());
+    std::vector<apim::util::Cycles> cycles(ops.size());
+    device.cmp_magnitude_batch(ops, codes, cycles);
+    apim::device::EnergyLedger energy;
     for (std::size_t i = 0; i < ops.size(); ++i) {
       const apim::arith::CompareOutcome fast =
           apim::arith::fast_compare(ops[i].first, ops[i].second, n);
-      ASSERT_EQ(out[i].code, fast.code) << "lane " << i << " n " << n;
-      ASSERT_EQ(out[i].sum, fast.sum);
-      ASSERT_EQ(out[i].cycles, fast.cycles);
-      ASSERT_EQ(out[i].energy, fast.energy);
-      ASSERT_EQ(out[i].carry_out, fast.carry_out);
+      ASSERT_EQ(codes[i], fast.code) << "op " << i << " n " << n;
+      ASSERT_EQ(cycles[i], fast.cycles);
+      energy += fast.energy;
     }
+    EXPECT_EQ(device.stats().energy, energy);
   }
 }
 

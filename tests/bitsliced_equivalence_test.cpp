@@ -1,18 +1,18 @@
-// Cross-backend equivalence gate for the bitsliced (tier-3) batch tier.
+// Cross-backend equivalence gate for the bitsliced backend.
 //
-// The contract under test (arith/bitsliced.hpp): for every lane of a
-// homogeneous slice, the bitsliced evaluator produces values, cycle counts
-// AND energy ledgers that are equal (operator==) to the scalar word-level
-// models — which are themselves property-tested against the bit-level
-// MAGIC engine (tests/arith_equivalence_test.cpp). The gate closes the
-// triangle three ways:
+// Backend::kBitsliced runs the word models through the same device path
+// as kFast (core/config.hpp). The contract under test: a kBitsliced
+// ApimDevice batch returns values, per-op cycles AND an energy ledger
+// equal (operator==) to the scalar word-level models — which are
+// themselves property-tested against the bit-level MAGIC engine
+// (tests/arith_equivalence_test.cpp). The gate closes the triangle:
 //
-//   bit-level engine  ==  word models   (everything exact, incl. ledgers)
-//   word models       ==  bitsliced     (everything exact, incl. ledgers)
+//   bit-level engine  ==  word models         (everything exact)
+//   word models       ==  kBitsliced device   (everything exact)
 //
 // plus the carry-out boundary contract at widths 63/64, the serving batch
-// path on both tiers (across host thread counts and slice-fill shapes),
-// the empty batch, and ApimDevice's batch entries. Thread-count invariance
+// path on both tiers (across host thread counts and batch sizes), the
+// empty batch, and ApimDevice's batch entries. Thread-count invariance
 // of the word tier is gated in tests/parallel_exec_test.cpp.
 #include <gtest/gtest.h>
 
@@ -21,7 +21,6 @@
 #include <utility>
 #include <vector>
 
-#include "arith/bitsliced.hpp"
 #include "arith/fast_units.hpp"
 #include "arith/inmemory_units.hpp"
 #include "arith/latency_model.hpp"
@@ -37,13 +36,14 @@
 namespace apim::arith {
 namespace {
 
+using Pairs = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+
 /// Operand pairs that exercise carries hard: random, all-ones (guaranteed
 /// carry out), complementary, and zero lanes, for `count` lanes.
-std::vector<std::pair<std::uint64_t, std::uint64_t>> carry_heavy_pairs(
-    std::size_t count, unsigned n, std::uint64_t seed) {
+Pairs carry_heavy_pairs(std::size_t count, unsigned n, std::uint64_t seed) {
   util::Xoshiro256 rng(seed);
   const std::uint64_t mask = util::low_mask(n);
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> ops;
+  Pairs ops;
   ops.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     switch (i % 4) {
@@ -60,76 +60,96 @@ std::vector<std::pair<std::uint64_t, std::uint64_t>> carry_heavy_pairs(
   return ops;
 }
 
-// ------------------------------------------------------------ transpose ---
+// ------------------------------------------------- kBitsliced batch run ---
 
-TEST(Transpose64, MatchesBitByBitDefinition) {
-  util::Xoshiro256 rng(11);
-  std::uint64_t in[64], out[64];
-  for (auto& w : in) w = rng.next();
-  transpose64(in, out);
-  for (unsigned l = 0; l < 64; ++l)
-    for (unsigned i = 0; i < 64; ++i)
-      ASSERT_EQ(util::bit(out[i], l), util::bit(in[l], i))
-          << "lane " << l << " bit " << i;
+/// Per-op results of `ops` run as Backend::kBitsliced runs them.
+struct BitslicedRun {
+  std::vector<std::uint64_t> values;
+  std::vector<util::Cycles> op_cycles;
+  device::EnergyLedger energy;
+  std::uint64_t partial_products = 0;
+};
+
+/// A kBitsliced ApimDevice batch of `op` at width `n`. Widths the device
+/// rejects (it accepts 4..32) run the op's core/op_kernel.hpp word row per
+/// op instead, which is what that backend selects, so widths 1, 63 and 64
+/// still pin the row to the word model.
+BitslicedRun run_bitsliced(core::OpKind op, unsigned n,
+                           const ApproxConfig& approx, const Pairs& ops) {
+  core::ApimConfig cfg;
+  cfg.word_bits = n;
+  cfg.approx = approx;
+  cfg.backend = core::Backend::kBitsliced;
+  BitslicedRun run{std::vector<std::uint64_t>(ops.size()),
+                   std::vector<util::Cycles>(ops.size()), {}, 0};
+  if (n >= 4 && n <= 32) {
+    core::ApimDevice device{cfg};
+    device.run_batch(op, ops, run.values, run.op_cycles);
+    run.energy = device.stats().energy;
+    run.partial_products = device.stats().partial_products;
+    return run;
+  }
+  const core::OpKernel& k = core::op_kernel(op);
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    const core::OpOutcome r = k.word(ops[i], cfg);
+    run.values[i] = r.value;
+    run.op_cycles[i] = r.cycles;
+    run.energy += r.energy;
+    run.partial_products += r.partial_products;
+  }
+  return run;
 }
 
-TEST(Transpose64, IsSelfInverse) {
-  util::Xoshiro256 rng(12);
-  std::uint64_t in[64], once[64], twice[64];
-  for (auto& w : in) w = rng.next();
-  transpose64(in, once);
-  transpose64(once, twice);
-  for (unsigned l = 0; l < 64; ++l) ASSERT_EQ(twice[l], in[l]);
-}
+// ------------------------------------------ kBitsliced adds vs word model --
 
-// ---------------------------------------------- add slices vs word model --
-
-struct AddSliceCase {
+struct AddCase {
   unsigned n;
   unsigned relax_m;  ///< Requested; profitable_add_relax applies inside.
   std::size_t count;
 };
 
 class BitslicedAddEquivalence
-    : public ::testing::TestWithParam<AddSliceCase> {};
+    : public ::testing::TestWithParam<AddCase> {};
 
 TEST_P(BitslicedAddEquivalence, LanesMatchFastAddExactly) {
   const auto [n, relax_m, count] = GetParam();
   const auto ops =
       carry_heavy_pairs(count, n, 6000 + 131 * n + 17 * relax_m + count);
-  std::vector<AddOutcome> sliced(count);
-  bitsliced_add_slice(ops, n, relax_m, sliced);
+  // The device's adder relaxes relax_bits / 2 (core/apim.hpp).
+  const BitslicedRun run = run_bitsliced(
+      core::OpKind::kVectorAdd, n, ApproxConfig{0, 2 * relax_m}, ops);
+  device::EnergyLedger energy;
   for (std::size_t l = 0; l < count; ++l) {
     const AddOutcome ref =
         fast_add(ops[l].first, ops[l].second, n, relax_m);
-    ASSERT_EQ(sliced[l].sum, ref.sum) << "lane " << l;
-    ASSERT_EQ(sliced[l].carry_out, ref.carry_out) << "lane " << l;
-    ASSERT_EQ(sliced[l].cycles, ref.cycles) << "lane " << l;
-    ASSERT_EQ(sliced[l].energy, ref.energy)
-        << "lane " << l;  // Bit-exact, not NEAR.
+    // Below n = 64 the sum holds the carry out at bit n.
+    ASSERT_EQ(run.values[l], ref.sum) << "lane " << l;
+    ASSERT_EQ(run.op_cycles[l], ref.cycles) << "lane " << l;
+    energy += ref.energy;
   }
+  EXPECT_EQ(run.energy, energy);  // Bit-exact, not NEAR.
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Shapes, BitslicedAddEquivalence,
-    ::testing::Values(AddSliceCase{1, 0, 64}, AddSliceCase{4, 0, 64},
-                      AddSliceCase{8, 0, 64}, AddSliceCase{8, 4, 64},
-                      AddSliceCase{16, 0, 64}, AddSliceCase{16, 1, 64},
-                      AddSliceCase{16, 8, 37}, AddSliceCase{31, 0, 64},
-                      AddSliceCase{31, 10, 64}, AddSliceCase{32, 0, 64},
-                      AddSliceCase{32, 16, 64}, AddSliceCase{32, 64, 64},
-                      AddSliceCase{63, 0, 64}, AddSliceCase{63, 21, 64},
-                      AddSliceCase{64, 0, 64}, AddSliceCase{64, 32, 64},
-                      AddSliceCase{64, 0, 1}, AddSliceCase{64, 5, 3}),
-    [](const ::testing::TestParamInfo<AddSliceCase>& info) {
+    ::testing::Values(AddCase{1, 0, 64}, AddCase{4, 0, 64},
+                      AddCase{8, 0, 64}, AddCase{8, 4, 64},
+                      AddCase{16, 0, 64}, AddCase{16, 1, 64},
+                      AddCase{16, 8, 37}, AddCase{31, 0, 64},
+                      AddCase{31, 10, 64}, AddCase{32, 0, 64},
+                      AddCase{32, 16, 64}, AddCase{32, 64, 64},
+                      AddCase{63, 0, 64}, AddCase{63, 21, 64},
+                      AddCase{64, 0, 64}, AddCase{64, 32, 64},
+                      AddCase{64, 0, 1}, AddCase{64, 5, 3}),
+    [](const ::testing::TestParamInfo<AddCase>& info) {
       return "n" + std::to_string(info.param.n) + "m" +
              std::to_string(info.param.relax_m) + "c" +
              std::to_string(info.param.count);
     });
 
-// ----------------------------------------- multiply slices vs word model --
+// ------------------------------------- kBitsliced multiplies vs word model --
 
-struct MulSliceCase {
+struct MulCase {
   unsigned n;
   unsigned mask_bits;
   unsigned relax_bits;
@@ -137,7 +157,7 @@ struct MulSliceCase {
 };
 
 class BitslicedMultiplyEquivalence
-    : public ::testing::TestWithParam<MulSliceCase> {};
+    : public ::testing::TestWithParam<MulCase> {};
 
 TEST_P(BitslicedMultiplyEquivalence, LanesMatchFastMultiplyExactly) {
   const auto [n, mask_bits, relax_bits, count] = GetParam();
@@ -146,7 +166,7 @@ TEST_P(BitslicedMultiplyEquivalence, LanesMatchFastMultiplyExactly) {
   // shortcut paths (zero, power of two, two set bits).
   util::Xoshiro256 rng(7000 + 251 * n + 13 * mask_bits + relax_bits);
   const std::uint64_t mask = util::low_mask(n);
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> ops;
+  Pairs ops;
   for (std::size_t i = 0; i < count; ++i) {
     std::uint64_t b = rng.next() & mask;
     switch (i % 8) {
@@ -158,36 +178,38 @@ TEST_P(BitslicedMultiplyEquivalence, LanesMatchFastMultiplyExactly) {
     }
     ops.emplace_back(rng.next() & mask, b);
   }
-  std::vector<MultiplyOutcome> sliced(count);
-  bitsliced_multiply_slice(ops, n, cfg, sliced);
+  const BitslicedRun run =
+      run_bitsliced(core::OpKind::kMultiply, n, cfg, ops);
+  device::EnergyLedger energy;
+  std::uint64_t partials = 0;
   for (std::size_t l = 0; l < count; ++l) {
     const MultiplyOutcome ref =
         fast_multiply(ops[l].first, ops[l].second, n, cfg);
-    ASSERT_EQ(sliced[l].product, ref.product)
+    ASSERT_EQ(run.values[l], ref.product)
         << "lane " << l << " a=" << ops[l].first << " b=" << ops[l].second;
-    ASSERT_EQ(sliced[l].cycles, ref.cycles) << "lane " << l;
-    ASSERT_EQ(sliced[l].partial_count, ref.partial_count) << "lane " << l;
-    ASSERT_EQ(sliced[l].tree_stages, ref.tree_stages) << "lane " << l;
-    ASSERT_EQ(sliced[l].energy, ref.energy)
-        << "lane " << l;  // Bit-exact, not NEAR.
+    ASSERT_EQ(run.op_cycles[l], ref.cycles) << "lane " << l;
+    energy += ref.energy;
+    partials += ref.partial_count;
   }
+  EXPECT_EQ(run.partial_products, partials);
+  EXPECT_EQ(run.energy, energy);  // Bit-exact, not NEAR.
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Shapes, BitslicedMultiplyEquivalence,
-    ::testing::Values(MulSliceCase{1, 0, 0, 64}, MulSliceCase{4, 0, 0, 64},
-                      MulSliceCase{8, 0, 0, 64}, MulSliceCase{8, 2, 0, 64},
-                      MulSliceCase{8, 0, 6, 64}, MulSliceCase{8, 3, 10, 64},
-                      MulSliceCase{16, 0, 0, 64},
-                      MulSliceCase{16, 4, 16, 64},
-                      MulSliceCase{31, 0, 0, 64},
-                      MulSliceCase{31, 7, 20, 64},
-                      MulSliceCase{32, 0, 0, 64},
-                      MulSliceCase{32, 8, 0, 64},
-                      MulSliceCase{32, 0, 32, 64},
-                      MulSliceCase{32, 16, 48, 64},
-                      MulSliceCase{32, 0, 0, 5}),
-    [](const ::testing::TestParamInfo<MulSliceCase>& info) {
+    ::testing::Values(MulCase{1, 0, 0, 64}, MulCase{4, 0, 0, 64},
+                      MulCase{8, 0, 0, 64}, MulCase{8, 2, 0, 64},
+                      MulCase{8, 0, 6, 64}, MulCase{8, 3, 10, 64},
+                      MulCase{16, 0, 0, 64},
+                      MulCase{16, 4, 16, 64},
+                      MulCase{31, 0, 0, 64},
+                      MulCase{31, 7, 20, 64},
+                      MulCase{32, 0, 0, 64},
+                      MulCase{32, 8, 0, 64},
+                      MulCase{32, 0, 32, 64},
+                      MulCase{32, 16, 48, 64},
+                      MulCase{32, 0, 0, 5}),
+    [](const ::testing::TestParamInfo<MulCase>& info) {
       return "n" + std::to_string(info.param.n) + "mask" +
              std::to_string(info.param.mask_bits) + "relax" +
              std::to_string(info.param.relax_bits) + "c" +
@@ -207,9 +229,10 @@ TEST_P(ThreeWayAddGate, EngineWordAndBitslicedAgree) {
   const auto [n, relax_m] = GetParam();
   const std::size_t count = 16;
   const auto ops = carry_heavy_pairs(count, n, 8000 + 7 * n + relax_m);
-  std::vector<AddOutcome> sliced(count);
-  bitsliced_add_slice(ops, n, relax_m, sliced);
+  const BitslicedRun run = run_bitsliced(
+      core::OpKind::kVectorAdd, n, ApproxConfig{0, 2 * relax_m}, ops);
   const unsigned m = profitable_add_relax(n, relax_m);
+  device::EnergyLedger energy;
   for (std::size_t l = 0; l < count; ++l) {
     const auto [a, b] = ops[l];
     const InMemoryResult engine =
@@ -222,11 +245,11 @@ TEST_P(ThreeWayAddGate, EngineWordAndBitslicedAgree) {
     ASSERT_EQ(word.cycles, engine.cycles);
     ASSERT_EQ(word.energy, engine.energy);
     // Word vs bitsliced: everything exact.
-    ASSERT_EQ(sliced[l].sum, word.sum);
-    ASSERT_EQ(sliced[l].carry_out, word.carry_out);
-    ASSERT_EQ(sliced[l].cycles, word.cycles);
-    ASSERT_EQ(sliced[l].energy, word.energy);
+    ASSERT_EQ(run.values[l], word.sum);
+    ASSERT_EQ(run.op_cycles[l], word.cycles);
+    energy += word.energy;
   }
+  EXPECT_EQ(run.energy, energy);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -254,11 +277,12 @@ TEST(ThreeWayMultiplyGate, EngineWordAndBitslicedAgree) {
     const std::size_t count = 8;
     util::Xoshiro256 rng(9000 + 31 * c.n + c.relax_bits);
     const std::uint64_t mask = util::low_mask(c.n);
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> ops;
+    Pairs ops;
     for (std::size_t i = 0; i < count; ++i)
       ops.emplace_back(rng.next() & mask, rng.next() & mask);
-    std::vector<MultiplyOutcome> sliced(count);
-    bitsliced_multiply_slice(ops, c.n, cfg, sliced);
+    const BitslicedRun run =
+        run_bitsliced(core::OpKind::kMultiply, c.n, cfg, ops);
+    device::EnergyLedger energy;
     for (std::size_t l = 0; l < count; ++l) {
       const auto [a, b] = ops[l];
       const InMemoryResult engine = inmemory_multiply(a, b, c.n, cfg);
@@ -266,10 +290,11 @@ TEST(ThreeWayMultiplyGate, EngineWordAndBitslicedAgree) {
       ASSERT_EQ(word.product, engine.value) << "n=" << c.n << " lane " << l;
       ASSERT_EQ(word.cycles, engine.cycles);
       ASSERT_EQ(word.energy, engine.energy);
-      ASSERT_EQ(sliced[l].product, word.product);
-      ASSERT_EQ(sliced[l].cycles, word.cycles);
-      ASSERT_EQ(sliced[l].energy, word.energy);
+      ASSERT_EQ(run.values[l], word.product);
+      ASSERT_EQ(run.op_cycles[l], word.cycles);
+      energy += word.energy;
     }
+    EXPECT_EQ(run.energy, energy);
   }
 }
 
@@ -353,15 +378,15 @@ serve::BatchExecution execute_on(
 }
 
 /// Bitsliced-vs-word equality of a whole dispatch, energy included.
-void expect_same_batch(const serve::BatchExecution& sliced,
+void expect_same_batch(const serve::BatchExecution& bitsliced,
                        const serve::BatchExecution& word) {
-  ASSERT_EQ(sliced.values, word.values);
-  ASSERT_EQ(sliced.makespan, word.makespan);
-  ASSERT_EQ(sliced.total_lane_cycles, word.total_lane_cycles);
-  ASSERT_EQ(sliced.lanes_used, word.lanes_used);
-  ASSERT_EQ(sliced.energy_pj, word.energy_pj);  // Bit-exact.
-  ASSERT_EQ(sliced.stats.cycles, word.stats.cycles);
-  ASSERT_EQ(sliced.stats.energy, word.stats.energy);
+  ASSERT_EQ(bitsliced.values, word.values);
+  ASSERT_EQ(bitsliced.makespan, word.makespan);
+  ASSERT_EQ(bitsliced.total_lane_cycles, word.total_lane_cycles);
+  ASSERT_EQ(bitsliced.lanes_used, word.lanes_used);
+  ASSERT_EQ(bitsliced.energy_pj, word.energy_pj);  // Bit-exact.
+  ASSERT_EQ(bitsliced.stats.cycles, word.stats.cycles);
+  ASSERT_EQ(bitsliced.stats.energy, word.stats.energy);
 }
 
 TEST(BatchBackends, MultiplyBatchMatchesAcrossBackendsAndThreads) {
@@ -369,7 +394,7 @@ TEST(BatchBackends, MultiplyBatchMatchesAcrossBackendsAndThreads) {
   const unsigned n = 16;
   const ApproxConfig cfg{2, 6};
   util::Xoshiro256 rng(321);
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> ops;
+  Pairs ops;
   for (int i = 0; i < 300; ++i)  // Deliberately not a multiple of 64.
     ops.emplace_back(rng.next() & util::low_mask(n),
                      rng.next() & util::low_mask(n));
@@ -390,7 +415,7 @@ TEST(BatchBackends, VectorAddMatchesAcrossBackendsAndThreads) {
   ThreadCountGuard guard;
   const unsigned n = 32;
   util::Xoshiro256 rng(654);
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> ops;
+  Pairs ops;
   for (int i = 0; i < 517; ++i)  // Crosses several grain boundaries.
     ops.emplace_back(rng.next() & util::low_mask(n),
                      rng.next() & util::low_mask(n));
@@ -437,10 +462,10 @@ TEST(BitslicedDegenerate, SingleOpAndRaggedTailMatchWordBackend) {
   const unsigned n = 16;
   const ApproxConfig cfg{0, 4};
   util::Xoshiro256 rng(777);
-  // 1 op, then 64 + 1, then a 64*2 + 63 tail: every slice-fill shape.
+  // 1 op, then 64 + 1, then a 64*2 + 63 tail.
   for (const std::size_t count : {1u, 65u, 191u}) {
     SCOPED_TRACE(testing::Message() << count << " ops");
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> ops;
+    Pairs ops;
     for (std::size_t i = 0; i < count; ++i)
       ops.emplace_back(rng.next() & util::low_mask(n),
                        rng.next() & util::low_mask(n));
@@ -464,7 +489,7 @@ core::ApimConfig device_config(core::Backend backend) {
 std::vector<std::pair<std::uint64_t, std::uint64_t>> device_ops(
     std::size_t count, unsigned n) {
   util::Xoshiro256 rng(4242);
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> ops;
+  Pairs ops;
   for (std::size_t i = 0; i < count; ++i)
     ops.emplace_back(rng.next() & util::low_mask(n),
                      rng.next() & util::low_mask(n));
@@ -495,13 +520,13 @@ TEST(DeviceBatch, BitslicedBatchEqualsScalarLoopOnFastDevice) {
     ref_cycles[i] = scalar.stats().cycles - before;
   }
 
-  core::ApimDevice sliced{device_config(core::Backend::kBitsliced)};
+  core::ApimDevice bitsliced{device_config(core::Backend::kBitsliced)};
   std::vector<std::uint64_t> vals(ops.size());
   std::vector<util::Cycles> cycles(ops.size());
-  sliced.mul_magnitude_batch(ops, vals, cycles);
+  bitsliced.mul_magnitude_batch(ops, vals, cycles);
   EXPECT_EQ(vals, ref_vals);
   EXPECT_EQ(cycles, ref_cycles);
-  expect_same_stats(sliced.stats(), scalar.stats());
+  expect_same_stats(bitsliced.stats(), scalar.stats());
 }
 
 TEST(DeviceBatch, AddBatchEqualsScalarLoopOnFastDevice) {
@@ -511,12 +536,12 @@ TEST(DeviceBatch, AddBatchEqualsScalarLoopOnFastDevice) {
   for (std::size_t i = 0; i < ops.size(); ++i)
     ref_vals[i] = scalar.add_magnitude(ops[i].first, ops[i].second);
 
-  core::ApimDevice sliced{device_config(core::Backend::kBitsliced)};
+  core::ApimDevice bitsliced{device_config(core::Backend::kBitsliced)};
   std::vector<std::uint64_t> vals(ops.size());
   std::vector<util::Cycles> cycles(ops.size());
-  sliced.add_magnitude_batch(ops, vals, cycles);
+  bitsliced.add_magnitude_batch(ops, vals, cycles);
   EXPECT_EQ(vals, ref_vals);
-  expect_same_stats(sliced.stats(), scalar.stats());
+  expect_same_stats(bitsliced.stats(), scalar.stats());
 }
 
 TEST(DeviceBatch, ReliabilityMachineryReplaysIdenticallyUnderBitsliced) {
@@ -540,14 +565,14 @@ TEST(DeviceBatch, ReliabilityMachineryReplaysIdenticallyUnderBitsliced) {
   ASSERT_GT(scalar.stats().faults_detected, 0u);  // The table bites.
 
   base.backend = core::Backend::kBitsliced;
-  core::ApimDevice sliced{base};
+  core::ApimDevice bitsliced{base};
   std::vector<std::uint64_t> mul_vals(ops.size()), add_vals(ops.size());
   std::vector<util::Cycles> cycles(ops.size());
-  sliced.mul_magnitude_batch(ops, mul_vals, cycles);
-  sliced.add_magnitude_batch(ops, add_vals, cycles);
+  bitsliced.mul_magnitude_batch(ops, mul_vals, cycles);
+  bitsliced.add_magnitude_batch(ops, add_vals, cycles);
   EXPECT_EQ(mul_vals, ref_mul);
   EXPECT_EQ(add_vals, ref_add);
-  expect_same_stats(sliced.stats(), scalar.stats());
+  expect_same_stats(bitsliced.stats(), scalar.stats());
 }
 
 TEST(DeviceBatch, EmptyBatchIsANoOp) {

@@ -5,6 +5,7 @@
 // human-readable violation string.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -219,7 +220,8 @@ struct ClusterOutcome {
     if (r.resp.status != serve::RequestStatus::kOk) continue;
     samples.push_back(static_cast<double>(r.edge_latency_cycles()));
   }
-  return util::percentile(std::move(samples), 0.99);
+  std::sort(samples.begin(), samples.end());
+  return util::percentile(samples, 0.99);
 }
 
 /// Completed-request fraction (goodput) at the edge.

@@ -6,6 +6,7 @@
 // counts.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <map>
 #include <stdexcept>
@@ -47,6 +48,34 @@ TEST(ClusterConfig, RejectsZeroGeometry) {
   cfg.interconnect.link_bits = 0;
   EXPECT_THROW(cluster::Cluster{cfg}, std::invalid_argument);
   cfg = {};
+  EXPECT_NO_THROW(cluster::Cluster{cfg});
+}
+
+// An EWMA weight outside (0, 1], and a fault schedule or placement pin
+// keyed past the last chip or shard, are rejected in release builds too,
+// instead of an assert that vanishes or an entry silently never applied.
+TEST(ClusterConfig, RejectsBadRebalanceAndFaultKeys) {
+  cluster::ClusterConfig cfg;
+  for (const double alpha : {0.0, -0.5, 1.5, std::nan("")}) {
+    cfg.rebalance.ewma_alpha = alpha;
+    EXPECT_THROW(cluster::Cluster{cfg}, std::invalid_argument) << alpha;
+  }
+  cfg.rebalance.ewma_alpha = 1.0;
+  EXPECT_NO_THROW(cluster::Cluster{cfg});
+  cfg = {};
+  cfg.chip_fault_schedules[cfg.chips] = {};
+  EXPECT_THROW(cluster::Cluster{cfg}, std::invalid_argument);
+  cfg = {};
+  cfg.chip_fault_schedules[cfg.chips - 1] = {};
+  EXPECT_NO_THROW(cluster::Cluster{cfg});
+  cfg = {};
+  cfg.placement_overrides[cfg.shards] = 0;
+  EXPECT_THROW(cluster::Cluster{cfg}, std::invalid_argument);
+  cfg = {};
+  cfg.placement_overrides[0] = cfg.chips;
+  EXPECT_THROW(cluster::Cluster{cfg}, std::invalid_argument);
+  cfg = {};
+  cfg.placement_overrides[cfg.shards - 1] = cfg.chips - 1;
   EXPECT_NO_THROW(cluster::Cluster{cfg});
 }
 

@@ -163,6 +163,19 @@ TEST(ApimDevice, RejectsOutOfRangeConfig) {
   EXPECT_NO_THROW((void)make(32, 1));
 }
 
+TEST(ApimDevice, RejectsBadSpansAndRegions) {
+  ApimDevice dev = make_device();
+  const std::vector<std::int64_t> three(3, 2), two(2, 2);
+  EXPECT_THROW((void)dev.dot_int(three, two), std::invalid_argument);
+  const util::Cycles begin = dev.parallel_region_begin();
+  (void)dev.mul_int(3, 5);
+  EXPECT_THROW(dev.parallel_region_end(begin, 0), std::invalid_argument);
+  EXPECT_THROW(dev.parallel_region_end(dev.stats().cycles + 1, 2),
+               std::invalid_argument);
+  EXPECT_EQ(dev.dot_int(three, three), 12);
+  EXPECT_NO_THROW(dev.parallel_region_end(begin, 2));
+}
+
 TEST(ApimDevice, BatchRejectsShortOutputSpans) {
   ApimDevice dev = make_device();
   const std::vector<std::pair<std::uint64_t, std::uint64_t>> ops(3, {5, 7});

@@ -298,7 +298,8 @@ struct Outcome {
     samples.push_back(
         static_cast<double>(out.responses[i].latency_cycles()));
   }
-  return util::percentile(std::move(samples), 0.99);
+  std::sort(samples.begin(), samples.end());
+  return util::percentile(samples, 0.99);
 }
 
 /// Empirical serving capacity in executed ops per 1000 cycles: drive one
